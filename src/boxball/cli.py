@@ -31,6 +31,21 @@ def _capacity(text):
     return value
 
 
+def _at_least(low):
+    """argparse type for an integer option that must be >= low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _read_lines(args):
     if getattr(args, "file", None):
         with open(args.file) as fh:
@@ -50,13 +65,17 @@ def _parse_states(args):
     return states
 
 
+def _each_state(args):
+    """The input states, with a blank line printed between consecutive ones."""
+    for k, state in enumerate(_parse_states(args)):
+        if k:
+            print()
+        yield state
+
+
 def cmd_evolve(args):
     _check_n(args.n)
-    first = True
-    for state in _parse_states(args):
-        if not first:
-            print()
-        first = False
+    for state in _each_state(args):
         print(state.to_text())
         for trace in dynamics.trajectory(state, args.capacity, args.steps):
             print(trace.out_state.to_text())
@@ -68,11 +87,7 @@ def cmd_evolve(args):
 
 def cmd_inverse(args):
     _check_n(args.n)
-    first = True
-    for state in _parse_states(args):
-        if not first:
-            print()
-        first = False
+    for state in _each_state(args):
         print(state.to_text())
         for _ in range(args.steps):
             state = dynamics.evolve_inverse(state, args.capacity)
@@ -82,11 +97,7 @@ def cmd_inverse(args):
 
 def cmd_energy(args):
     _check_n(args.n)
-    first = True
-    for state in _parse_states(args):
-        if not first:
-            print()
-        first = False
+    for state in _each_state(args):
         spec = dynamics.spectrum(state, args.lmax)
         if args.lmax:
             top = args.lmax
@@ -137,15 +148,8 @@ def cmd_ybe(args):
 
 def cmd_scatter(args):
     _check_n(args.n)
-    states = _parse_states(args)
-    if not states:
-        return 0
     status = 0
-    first = True
-    for state in states:
-        if not first:
-            print()
-        first = False
+    for state in _each_state(args):
         try:
             report = solitons.run_scattering(state, args.rule, args.max_steps)
         except (ValueError, solitons.ScatteringBudgetError) as exc:
@@ -165,11 +169,7 @@ def cmd_scatter(args):
 
 def cmd_tableau(args):
     _check_n(args.n)
-    first = True
-    for state in _parse_states(args):
-        if not first:
-            print()
-        first = False
+    for state in _each_state(args):
         rows = solitons.bump_tableau(state)
         print(solitons.format_tableau(rows) if rows else "(empty)")
     return 0
@@ -177,7 +177,6 @@ def cmd_tableau(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="boxball", description="Box-ball system toolkit.")
-    parser.add_argument("--seed", type=int, default=0, help="seed for scripted randomized sweeps (subcommands here are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -187,19 +186,19 @@ def build_parser():
     p = sub.add_parser("evolve", help="apply the time evolution to states")
     common(p)
     p.add_argument("--capacity", type=_capacity, default=None, help="carrier capacity, or 'inf' (default)")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_at_least(0), default=1)
     p.add_argument("--show-h", action="store_true", help="print the local H values after each row")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("inverse", help="apply the inverse time evolution")
     common(p)
-    p.add_argument("--capacity", type=int, required=True)
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--capacity", type=_at_least(1), required=True)
+    p.add_argument("--steps", type=_at_least(0), default=1)
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("energy", help="print the E_l / N_l table of states")
     common(p)
-    p.add_argument("--lmax", type=int, default=None, help="print exactly rows 1..lmax (default: one past stabilization)")
+    p.add_argument("--lmax", type=_at_least(1), default=None, help="print exactly rows 1..lmax (default: one past stabilization)")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("rmatrix", help="apply the combinatorial R-matrix to a pair")
@@ -215,7 +214,7 @@ def build_parser():
     p = sub.add_parser("scatter", help="run a scattering experiment and compare with the prediction")
     common(p)
     p.add_argument("--rule", type=_capacity, default=None, help="evolution capacity, or 'inf' (default)")
-    p.add_argument("--max-steps", type=int, default=400)
+    p.add_argument("--max-steps", type=_at_least(0), default=400)
     p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("tableau", help="print the row-bumping tableau of states")

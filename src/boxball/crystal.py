@@ -9,11 +9,6 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations_with_replacement
 
 
-def check_n(n):
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"alphabet size must be an integer >= 2, got {n!r}")
-
-
 def check_color(i, n):
     if not isinstance(i, int) or not 0 <= i < n:
         raise ValueError(f"color index must be in 0..{n - 1}, got {i!r}")

@@ -2,8 +2,9 @@
 
 A state is a finite window of letters in {1..n}, conceptually padded by
 the vacuum letter n on both sides.  The time evolution T_l threads a
-capacity-l carrier through the cells left to right; the recorded local
-h values sum to the conserved quantities E_l, and their second
+capacity-l carrier through the cells left to right, and the full
+evolution T is T_l at l = #letters, where T_l saturates; the recorded
+local h values sum to the conserved quantities E_l, and their second
 differences count solitons by length.
 """
 
@@ -17,7 +18,8 @@ class State:
 
     Cells are stored as a tuple; positions are counted from ``origin`` so
     evolution (which may extend the window) never renumbers existing cells.
-    Text form uses '.' for the vacuum letter and digits for the rest, with
+    Text form uses '.' for the vacuum letter and digits for the rest, one
+    character per cell for n <= 9 and comma-separated cells otherwise, with
     an optional "@k " prefix carrying a nonzero origin.
     """
 
@@ -89,14 +91,17 @@ class State:
             except ValueError:
                 raise ValueError(f"bad origin prefix {head!r}") from None
             s = rest.strip()
+        wide = n > 9
         cells = []
-        for col, ch in enumerate(s, start=1):
-            if ch == ".":
+        col = 1
+        for field in (s.split(",") if wide and s else s):
+            if field == ".":
                 cells.append(n)
-            elif ch.isdigit() and 1 <= int(ch) <= n:
-                cells.append(int(ch))
+            elif field.isascii() and field.isdigit() and 1 <= int(field) <= n:
+                cells.append(int(field))
             else:
-                raise ValueError(f"column {col}: unexpected character {ch!r}")
+                raise ValueError(f"column {col}: unexpected {'cell' if wide else 'character'} {field!r}")
+            col += len(field) + 1 if wide else 1
         return cls(cells, n, origin)
 
 
@@ -142,31 +147,19 @@ def energy(p, l):
     return -sum(carrier_pass(p, l).h_values)
 
 
-def effective_capacity(p):
-    """Capacity at which T_l has saturated for this state."""
-    return max(1, p.nonvacuum_count)
-
-
 def trajectory(p, capacity=None, steps=1):
     """Apply the time evolution repeatedly, returning one CarrierTrace per step.
 
-    capacity None means the full evolution T: the carrier capacity is taken
-    as the number of non-vacuum letters, and each step is verified against
-    capacity + 1 to confirm saturation.
+    capacity None means the full evolution T: one carrier pass per step at
+    capacity max(1, #letters), where T_l has saturated (T_l = T for every
+    l >= #letters).
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
     traces = []
     state = p
     for _ in range(steps):
-        if capacity is None:
-            cap = effective_capacity(state)
-            trace = carrier_pass(state, cap)
-            check = carrier_pass(state, cap + 1)
-            if trace.out_state.trim() != check.out_state.trim():
-                raise RuntimeError(f"evolution not saturated at capacity {cap}")
-        else:
-            trace = carrier_pass(state, capacity)
+        trace = carrier_pass(state, max(1, state.nonvacuum_count) if capacity is None else capacity)
         traces.append(trace)
         state = trace.out_state
     return traces

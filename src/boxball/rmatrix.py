@@ -1,12 +1,16 @@
 """The combinatorial R-matrix on pairs of crystal elements.
 
-The map B_l (x) B_l' -> B_l' (x) B_l and its energy value H are computed
-by the column-pairing algorithm when l >= l', and through the inverse
-direction (the map is an involution across the two orders) when l < l'.
-An independent oracle recomputes both from the crystal graph alone, by
-propagating images and H steps along e_i/f_i edges from the all-vacuum
-anchor.  Affinized elements z^d b carry an integer exponent d that the
-R-matrix shifts by +-H.
+The map B_l (x) B_l' -> B_l' (x) B_l and its energy value H come from a
+pairing of the letters of the two columns.  When l >= l' each letter of
+the right column, largest first, takes the largest free letter of the left
+column strictly below it; when l < l' the rule is mirrored, and each letter
+of the left column, smallest first, takes the smallest free letter of the
+right column strictly above it.  A line that finds no such letter wraps
+around, and H is minus the number of lines that did not wrap.  An
+independent oracle recomputes image and H from the crystal graph alone,
+by propagating images and H steps along e_i/f_i edges from the
+all-vacuum anchor.  Affinized elements z^d b carry an integer exponent d
+that the R-matrix shifts by +-H.
 """
 
 import math
@@ -81,42 +85,49 @@ def pair(b, bp, order=None):
 
 
 def _image_direct(b, bp):
-    """Image pair and H for len(b) >= len(bp), straight from the pairing."""
-    p = pair(b, bp)
-    left = tuple(sorted(x for _, x, _ in p.pairs))
-    right = tuple(sorted(bp + p.unpaired))
-    return (left, right), -p.unwinding_count
+    """Image pair and H for len(b) >= len(bp): the pairing of `pair` in one loop."""
+    free = list(b)
+    paired = []
+    h = 0
+    for v in reversed(bp):
+        j = bisect_left(free, v) - 1
+        if j >= 0:
+            paired.append(free.pop(j))
+            h -= 1
+        else:
+            paired.append(free.pop())
+    return (tuple(sorted(paired)), tuple(sorted(bp + tuple(free)))), h
 
 
-@lru_cache(maxsize=None)
-def _inverse_table(l, lp, n):
-    """Image/energy of every element of B_l (x) B_lp with l < lp.
+def _image_mirrored(b, bp):
+    """Image pair and H for len(b) < len(bp), by the mirrored pairing.
 
-    Built by computing the l' >= l direction on all of B_lp (x) B_l and
-    inverting; the pairing map is a bijection so the table is total.
+    Each letter of b, smallest first, takes the smallest free letter of bp
+    strictly above it, or wraps to the smallest free letter when there is
+    none.  b and the unpaired letters of bp form the new left factor.
     """
-    table = {}
-    for u in crystal.elements(lp, n):
-        for w in crystal.elements(l, n):
-            image, h = _image_direct(u, w)
-            table[image] = ((u, w), h)
-    expected = math.comb(l + n - 1, n - 1) * math.comb(lp + n - 1, n - 1)
-    if len(table) != expected:
-        raise RuntimeError(f"pairing map on B_{lp} (x) B_{l} is not a bijection for n={n}")
-    return table
+    free = list(bp)
+    paired = []
+    h = 0
+    for v in b:
+        j = bisect_right(free, v)
+        if j < len(free):
+            paired.append(free.pop(j))
+            h -= 1
+        else:
+            paired.append(free.pop(0))
+    return (tuple(sorted(b + tuple(free))), tuple(sorted(paired))), h
 
 
 def iso_with_energy(b, bp, n=None):
     """Image pair and H value of b (x) bp, for any pair of lengths.
 
-    n is only needed when the left factor is shorter (the inverse direction
-    enumerates crystals of the full alphabet).
+    n is accepted for symmetry with the crystal functions and is unused:
+    neither pairing rule depends on the alphabet size.
     """
     if len(b) >= len(bp):
         return _image_direct(b, bp)
-    if n is None:
-        raise ValueError("alphabet size n is required when the left factor is shorter")
-    return _inverse_table(len(b), len(bp), n)[(b, bp)]
+    return _image_mirrored(b, bp)
 
 
 def iso(b, bp, n=None):

@@ -23,13 +23,6 @@ class Signature:
         return "".join(self.signs)
 
 
-def validate_tensor(t, n):
-    if not isinstance(t, tuple) or not t:
-        raise ValueError(f"tensor element must be a nonempty tuple of factors, got {t!r}")
-    for b in t:
-        crystal.validate_element(b, n)
-
-
 def signature(t, i, n):
     """The i-signature of a tensor element, with factor origins."""
     crystal.check_color(i, n)

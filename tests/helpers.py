@@ -36,6 +36,12 @@ def random_state(rng, max_cells=30, max_letters=10, n=None):
     return State(cells, n)
 
 
+def acceptance_ensemble():
+    """The 1000 seeded random states swept by acceptance criteria 7 and 11."""
+    rng = seeded(20260808)
+    return [random_state(rng, max_cells=30, max_letters=10) for _ in range(1000)]
+
+
 def random_content(rng, length, n):
     """A weakly decreasing word over {1..n-1}, as read left to right in a state."""
     return tuple(sorted((rng.randint(1, n - 1) for _ in range(length)), reverse=True))

@@ -28,8 +28,8 @@ from boxball.solitons import (
 from helpers import (
     SINGLE_SOLITON_ROWS,
     THREE_SOLITON_ROWS,
+    acceptance_ensemble,
     random_separated_state,
-    random_state,
     seeded,
 )
 
@@ -110,10 +110,8 @@ def test_criterion_06_golden_displays():
 @pytest.fixture(scope="module")
 def ensemble():
     """Shared sweep over 1000 seeded random states for criteria 7 and 11."""
-    rng = seeded(20260808)
     stats = {"states": 0, "conservation": 0, "commutation": 0, "tableau": 0}
-    for _ in range(1000):
-        p = random_state(rng, max_cells=30, max_letters=10)
+    for p in acceptance_ensemble():
         stats["states"] += 1
         tab = bump_tableau(p)
         traces = {l: carrier_pass(p, l) for l in range(1, 6)}

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from boxball.cli import main
 from boxball.dynamics import State
 from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS
@@ -197,6 +199,28 @@ def test_tableau_command(monkeypatch, capsys):
         ["tableau", "--n", "4"], stdin="....\n", monkeypatch=monkeypatch, capsys=capsys
     )
     assert out == "(empty)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--n", "4", "--steps", "-1"],
+        ["evolve", "--n", "4", "--steps", "x"],
+        ["inverse", "--n", "4", "--capacity", "0"],
+        ["inverse", "--n", "4", "--capacity", "3", "--steps", "-2"],
+        ["energy", "--n", "4", "--lmax", "-3"],
+        ["energy", "--n", "4", "--lmax", "0"],
+        ["scatter", "--n", "4", "--max-steps", "-1"],
+    ],
+)
+def test_numeric_options_rejected_at_parse_time(argv, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("..332..\n"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be an integer >=" in captured.err
 
 
 def test_n_range_enforced(monkeypatch, capsys):

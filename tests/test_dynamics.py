@@ -3,14 +3,13 @@ import pytest
 from boxball.dynamics import (
     State,
     carrier_pass,
-    effective_capacity,
     energy,
     evolve,
     evolve_inverse,
     spectrum,
     trajectory,
 )
-from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, random_state, seeded
+from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, acceptance_ensemble, random_state, seeded
 
 
 def test_state_text_round_trip():
@@ -24,6 +23,24 @@ def test_state_text_round_trip():
         State.from_text("..x1", 4)
     with pytest.raises(ValueError):
         State.from_text("15", 4)  # 5 exceeds the alphabet
+    with pytest.raises(ValueError, match="column 2: unexpected character '²'"):
+        State.from_text("1²", 4)  # a digit to str.isdigit, but not ASCII
+    # above nine letters the cells are comma separated
+    r = State((1, 10, 11, 11), 11)
+    assert r.to_text() == "1,10,.,."
+    assert State.from_text("1,10,.,.", 11) == r
+    assert State.from_text("@-2 .,3", 11) == State((11, 3), 11, -2)
+    with pytest.raises(ValueError, match="column 3: unexpected cell '12'"):
+        State.from_text("1,12,.", 11)
+
+
+def test_state_text_round_trip_every_alphabet():
+    rng = seeded(61)
+    for n in range(2, 13):
+        for _ in range(40):
+            p = random_state(rng, n=n)
+            p = State(p.cells, n, rng.randint(-20, 20))
+            assert State.from_text(p.to_text(), n) == p
 
 
 def test_trim():
@@ -125,12 +142,12 @@ def test_letter_content_conserved():
 
 
 def test_full_evolution_matches_saturated_capacity():
+    # T_l = T for l >= #letters, on 50 states and the ensemble of acceptance criteria 7 and 11
     rng = seeded(9)
-    for _ in range(50):
-        p = random_state(rng)
-        k = effective_capacity(p)
-        assert evolve(p, None, 1).trim() == evolve(p, k, 1).trim()
-        assert evolve(p, None, 1).trim() == evolve(p, k + 2, 1).trim()
+    for p in [random_state(rng) for _ in range(50)] + acceptance_ensemble():
+        k = max(1, p.nonvacuum_count)
+        full = evolve(p, None, 1).trim()
+        assert full == evolve(p, k, 1).trim() == evolve(p, k + 1, 1).trim() == evolve(p, k + 2, 1).trim()
 
 
 def test_inverse_round_trip():
@@ -154,7 +171,7 @@ def test_trajectory_records_each_step():
     p = State.from_text(THREE_SOLITON_ROWS[0], 4)
     traces = trajectory(p, None, 3)
     assert [t.out_state.to_text() for t in traces] == THREE_SOLITON_ROWS[1:4]
-    assert -sum(traces[0].h_values) == energy(p, effective_capacity(p))
+    assert -sum(traces[0].h_values) == energy(p, max(1, p.nonvacuum_count))
     assert trajectory(p, None, 0) == []
     assert evolve(p, None, 0) == p
 

@@ -57,6 +57,9 @@ def test_pairing_summary_is_order_independent():
             rng.shuffle(order)
             q = pair(b, bp, order=order)
             assert (q.winding_count, tuple(sorted(x for _, x, _ in q.pairs)), q.unpaired) == summary
+        # iso_with_energy runs the same pairing as its own loop
+        image = (summary[1], tuple(sorted(bp + base.unpaired)))
+        assert iso_with_energy(b, bp) == (image, -base.unwinding_count)
 
 
 def test_iso_and_energy_examples():
@@ -89,8 +92,8 @@ def test_iso_involution_and_energy_symmetry():
 
 def test_iso_needs_n_only_when_left_shorter():
     assert iso((1, 2), (1,)) == ((2,), (1, 1))
-    with pytest.raises(ValueError):
-        iso((1,), (1, 2))
+    # the mirrored rule for a shorter left factor needs no alphabet size either
+    assert iso_with_energy((1,), (1, 2)) == (((1, 1), (2,)), -1)
 
 
 def test_iso_commutes_with_tensor_operators():
@@ -179,10 +182,12 @@ def test_oracle_examples():
 
 
 def test_oracle_matches_pairing():
-    for n in (2, 3, 4):
-        for l1, l2 in itertools.product((1, 2, 3), repeat=2):
-            for (b, bp), expected in oracle_table(l1, l2, n).items():
-                assert iso_with_energy(b, bp, n) == expected
+    sizes = [(n, l1, l2) for n in (2, 3, 4) for l1, l2 in itertools.product((1, 2, 3), repeat=2)]
+    # the mirrored rule (left factor shorter) at a larger alphabet
+    sizes += [(5, l1, l2) for l1, l2 in itertools.combinations((1, 2, 3, 4), 2)]
+    for n, l1, l2 in sizes:
+        for (b, bp), expected in oracle_table(l1, l2, n).items():
+            assert iso_with_energy(b, bp, n) == expected
 
 
 def test_format_affine():
