@@ -1,6 +1,7 @@
 """Command-line front end with stable, golden-file friendly text output."""
 
 import argparse
+import math
 import sys
 
 from . import dynamics, rmatrix, solitons
@@ -8,6 +9,10 @@ from .crystal import format_element
 from .dynamics import State
 from .rmatrix import format_affine
 from .tensor import parse_tensor
+
+
+# At roughly 30 us per case, this bounds one ybe run to about half a minute.
+YBE_MAX_CASES = 1_000_000
 
 
 class CliError(Exception):
@@ -47,11 +52,14 @@ def _at_least(low):
 
 
 def _read_lines(args):
-    if getattr(args, "file", None):
-        with open(args.file) as fh:
-            raw = fh.read().splitlines()
-    else:
-        raw = sys.stdin.read().splitlines()
+    try:
+        if args.file:
+            with open(args.file) as fh:
+                raw = fh.read().splitlines()
+        else:
+            raw = sys.stdin.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {'--file' if args.file else 'stdin'}: {exc}")
     return [(i, line) for i, line in enumerate(raw, start=1) if line.strip() and not line.lstrip().startswith("#")]
 
 
@@ -74,7 +82,6 @@ def _each_state(args):
 
 
 def cmd_evolve(args):
-    _check_n(args.n)
     for state in _each_state(args):
         print(state.to_text())
         for trace in dynamics.trajectory(state, args.capacity, args.steps):
@@ -86,7 +93,6 @@ def cmd_evolve(args):
 
 
 def cmd_inverse(args):
-    _check_n(args.n)
     for state in _each_state(args):
         print(state.to_text())
         for _ in range(args.steps):
@@ -96,15 +102,9 @@ def cmd_inverse(args):
 
 
 def cmd_energy(args):
-    _check_n(args.n)
     for state in _each_state(args):
         spec = dynamics.spectrum(state, args.lmax)
-        if args.lmax:
-            top = args.lmax
-        else:
-            top = 1
-            while spec.e_values[top] != spec.e_values[top - 1]:
-                top += 1
+        top = args.lmax or len(spec.n_values)
         print("l E N")
         for l in range(1, top + 1):
             print(f"{l} {spec.e_values[l]} {spec.n_values[l]}")
@@ -112,28 +112,29 @@ def cmd_energy(args):
 
 
 def cmd_rmatrix(args):
-    _check_n(args.n)
-    inputs = [(0, args.pair)] if args.pair else _read_lines(args)
-    for lineno, text in inputs:
+    inputs = [("pair", args.pair)] if args.pair else [(f"line {i}", line) for i, line in _read_lines(args)]
+    for where, text in inputs:
         try:
             t = parse_tensor(text, args.n)
         except ValueError as exc:
-            raise CliError(f"line {lineno}: {exc}")
+            raise CliError(f"{where}: {exc}")
         if len(t) != 2:
-            raise CliError(f"line {lineno}: expected exactly two factors, got {len(t)}")
+            raise CliError(f"{where}: expected exactly two factors, got {len(t)}")
         (c1, c2), h = rmatrix.iso_with_energy(t[0], t[1], args.n)
         print(f"({format_element(c1, args.n)})|({format_element(c2, args.n)}) H={h}")
     return 0
 
 
 def cmd_ybe(args):
-    _check_n(args.n)
     try:
         sizes = tuple(int(x) for x in args.sizes.split(","))
     except ValueError:
         raise CliError(f"--sizes must be three comma-separated integers, got {args.sizes!r}")
     if len(sizes) != 3 or any(l < 1 for l in sizes):
         raise CliError(f"--sizes must be three positive integers, got {args.sizes!r}")
+    cases = math.prod(math.comb(l + args.n - 1, args.n - 1) for l in sizes)
+    if cases > YBE_MAX_CASES:
+        raise CliError(f"--sizes {args.sizes} at n={args.n} needs {cases} cases, more than the limit of {YBE_MAX_CASES}")
     report = rmatrix.yang_baxter_check(*sizes, args.n)
     if report.ok:
         print(f"PASS sizes={args.sizes} n={args.n} cases={report.cases}")
@@ -147,7 +148,6 @@ def cmd_ybe(args):
 
 
 def cmd_scatter(args):
-    _check_n(args.n)
     status = 0
     for state in _each_state(args):
         try:
@@ -168,7 +168,6 @@ def cmd_scatter(args):
 
 
 def cmd_tableau(args):
-    _check_n(args.n)
     for state in _each_state(args):
         rows = solitons.bump_tableau(state)
         print(solitons.format_tableau(rows) if rows else "(empty)")
@@ -228,6 +227,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_n(args.n)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -213,15 +213,15 @@ class EnergySpectrum:
 
 
 def spectrum(p, l_max=None):
-    """Energies and soliton counts, computed past the stabilization point.
+    """Energies and soliton counts, swept over l = 1, 2, ... until E_l stabilizes.
 
-    E_l is constant for l at or beyond the number of non-vacuum letters, so
-    sweeping up to that point (plus one, for the second difference) covers
-    every nonzero N_l.
+    E_l - E_{l-1} counts the solitons of length >= l, so once it is 0 it stays
+    0.  The sweep stops at the first such l past l_max (if given), where N_l = 0.
     """
-    top = max(1, p.nonvacuum_count, l_max or 0) + 1
-    e = {0: 0}
-    for l in range(1, top + 2):
+    e = {0: 0, 1: energy(p, 1)}
+    l = 1
+    while l <= (l_max or 0) or e[l] != e[l - 1]:
+        l += 1
         e[l] = energy(p, l)
-    nvals = {l: -e[l - 1] + 2 * e[l] - e[l + 1] for l in range(1, top + 1)}
+    nvals = {k: -e[k - 1] + 2 * e[k] - e.get(k + 1, e[k]) for k in range(1, l + 1)}
     return EnergySpectrum(e, nvals)

@@ -163,18 +163,13 @@ class ScatteringReport:
     steps: int
 
 
-def _separated_snapshot(state, t, rule, want_lengths):
-    """Labels at time t if the state decomposes with exactly want_lengths."""
-    runs = _runs(state)
-    if [len(w) for _, w in runs] != want_lengths:
-        return None
-    if any(any(a < b for a, b in zip(w, w[1:])) for _, w in runs):
-        return None
+def _separated(state, t, want):
+    """The solitons at time t if every run is weakly decreasing and the sorted lengths are `want`, else None."""
     try:
-        sols = detect(state, t)
+        sols = detect(state, t, check_census=False)
     except NotSeparatedError:
         return None
-    return tuple(label(s, rule) for s in sols)
+    return sols if sorted(s.length for s in sols) == want else None
 
 
 def run_scattering(p, rule=None, max_steps=400):
@@ -184,6 +179,11 @@ def run_scattering(p, rule=None, max_steps=400):
     stops once the state decomposes with the lengths fully reversed and the
     labels stay put for two further steps; the simulated outgoing labels are
     then compared against the factorized two-body prediction.
+
+    The census is checked against the energy spectrum once, on the input:
+    every T_l conserves it, so a later state decomposes exactly when its runs
+    are weakly decreasing with the input's sorted lengths.  A sliding window
+    of three consecutive states evolves each time step once.
     """
     sols = detect(p, 0)
     lengths = [s.length for s in sols]
@@ -196,17 +196,17 @@ def run_scattering(p, rule=None, max_steps=400):
     tab_in = bump_tableau(p)
 
     want = sorted(lengths)
-    state = p
-    t = 0
+    window = [(p, sols)]
     last_good = (0, sols)
-    while True:
-        out = _separated_snapshot(state, t, rule, want)
-        if out is not None:
-            ahead = evolve(state, rule, 1)
-            ahead2 = evolve(ahead, rule, 1)
-            if (
-                _separated_snapshot(ahead, t + 1, rule, want) == out
-                and _separated_snapshot(ahead2, t + 2, rule, want) == out
+    for t in range(max_steps + 1):
+        while len(window) < 3:
+            state = evolve(window[-1][0], rule, 1)
+            window.append((state, _separated(state, t + len(window), want)))
+        state, now = window.pop(0)
+        if now is not None:
+            out = tuple(label(s, rule) for s in now)
+            if [s.length for s in now] == want and all(
+                later is not None and tuple(label(s, rule) for s in later) == out for _, later in window
             ):
                 return ScatteringReport(
                     in_labels=in_labels,
@@ -218,19 +218,13 @@ def run_scattering(p, rule=None, max_steps=400):
                     final_state=state,
                     steps=t,
                 )
-        try:
-            last_good = (t, detect(state, t))
-        except NotSeparatedError:
-            pass
-        if t >= max_steps:
-            raise ScatteringBudgetError(
-                f"no separated reordered state within {max_steps} steps;"
-                f" last decomposable snapshot at t={last_good[0]}",
-                last_time=last_good[0],
-                last_solitons=last_good[1],
-            )
-        state = evolve(state, rule, 1)
-        t += 1
+            last_good = (t, now)
+    raise ScatteringBudgetError(
+        f"no separated reordered state within {max_steps} steps;"
+        f" last decomposable snapshot at t={last_good[0]}",
+        last_time=last_good[0],
+        last_solitons=last_good[1],
+    )
 
 
 def row_insert(rows, x):

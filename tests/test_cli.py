@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from boxball.cli import main
 from boxball.dynamics import State
@@ -88,6 +90,24 @@ def test_evolve_file_input(tmp_path, monkeypatch, capsys):
     assert out.splitlines() == SINGLE_SOLITON_ROWS[:2]
 
 
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("absent.txt", "cannot read --file: [Errno 2] No such file"),
+        (".", "cannot read --file: [Errno 21] Is a directory"),
+        ("bytes.bin", ""),  # not UTF-8; whether it decodes depends on the locale
+        (None, "cannot read stdin: 'utf-8' codec can't decode byte 0xff"),
+    ],
+)
+def test_unreadable_input_is_an_error(name, message, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bytes.bin").write_bytes(b"\xff\xfe\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n"), encoding="utf-8"))
+    code = main(["evolve", "--n", "3"] + ([] if name is None else ["--file", str(tmp_path / name)]))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 def test_inverse_round_trip(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["inverse", "--n", "4", "--capacity", "3", "--steps", "1"],
@@ -148,6 +168,11 @@ def test_rmatrix_rejects_bad_input(monkeypatch, capsys):
         ["rmatrix", "--n", "4", "12|12|12"], monkeypatch=monkeypatch, capsys=capsys
     )
     assert code == 2 and "two factors" in err
+    # the positional pair is named as such; stdin lines keep their line number
+    code, out, err = run_cli(["rmatrix", "--n", "4", "12|"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and err == "error: pair: empty element text\n"
+    code, out, err = run_cli(["rmatrix", "--n", "4"], stdin="12|3\n12|\n", monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and err == "error: line 2: empty element text\n"
 
 
 def test_ybe_command(monkeypatch, capsys):
@@ -160,6 +185,10 @@ def test_ybe_command(monkeypatch, capsys):
         ["ybe", "--n", "3", "--sizes", "1,2"], monkeypatch=monkeypatch, capsys=capsys
     )
     assert code == 2
+    # 24310**3 cases: refused before any is enumerated
+    code, out, err = run_cli(["ybe", "--n", "9", "--sizes", "9,9,9"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "14366628991000 cases" in err
 
 
 def test_scatter_command(monkeypatch, capsys):
@@ -221,6 +250,21 @@ def test_numeric_options_rejected_at_parse_time(argv, monkeypatch, capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"argument {argv[-2]}: must be an integer >=" in captured.err
+
+
+FUZZ_COMMANDS = [["evolve"], ["inverse", "--capacity", "2"], ["energy"], ["rmatrix"], ["scatter"], ["tableau"]]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(FUZZ_COMMANDS),
+    n=st.integers(2, 9),
+    stdin=st.text(st.sampled_from(".123456789|,@-# \n") | st.characters(), max_size=30),
+)
+def test_any_stdin_exits_cleanly(command, n, stdin, monkeypatch, capsys):
+    # whatever arrives on stdin ends in a result or a one-line error, never a traceback
+    code, out, err = run_cli([command[0], "--n", str(n), *command[1:]], stdin, monkeypatch, capsys)
+    assert code == 0 and err == "" or code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_n_range_enforced(monkeypatch, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxball.dynamics import (
     State,
@@ -108,6 +110,29 @@ def test_spectrum():
 
     assert spectrum(State.from_text("...", 4)).census() == {}
     assert spectrum(State.from_text("..332..", 4)).census() == {3: 1}
+
+
+@st.composite
+def states(draw, max_cells=25):
+    n = draw(st.integers(2, 6))
+    return State(draw(st.lists(st.integers(1, n), max_size=max_cells)), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(states(), st.none() | st.integers(1, 30))
+def test_spectrum_matches_full_sweep(p, l_max):
+    # spectrum stops where E_l stabilizes; the sweep to #letters+2 (or past
+    # l_max) must give the same census, energies and counts
+    top = max(p.nonvacuum_count + 2, (l_max or 0) + 1)
+    e = {0: 0, **{l: energy(p, l) for l in range(1, top + 2)}}
+    n_full = {l: -e[l - 1] + 2 * e[l] - e[l + 1] for l in range(1, top + 1)}
+    spec = spectrum(p, l_max)
+    assert spec.census() == {l: c for l, c in n_full.items() if c}
+    assert set(spec.e_values) == set(range(len(spec.e_values)))
+    assert all(spec.e_values[l] == e[l] for l in spec.e_values)
+    assert set(spec.n_values) == set(range(1, len(spec.e_values)))
+    assert all(spec.n_values[l] == n_full[l] for l in spec.n_values)
+    assert set(range(1, (l_max or 0) + 1)) <= set(spec.n_values)
 
 
 def test_energy_monotone_and_stabilizing():

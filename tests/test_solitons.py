@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from boxball.dynamics import State, evolve
@@ -15,7 +17,7 @@ from boxball.solitons import (
     run_scattering,
     state_with_solitons,
 )
-from boxball import tensor
+from boxball import solitons, tensor
 from helpers import THREE_SOLITON_ROWS, random_content, random_separated_state, seeded
 
 IN_LABELS = (Affine(0, (2, 3, 3)), Affine(-6, (1, 1)), Affine(-11, (2,)))
@@ -139,8 +141,33 @@ def test_run_scattering_preconditions():
         run_scattering(State.from_text("..2....33..", 4))
     with pytest.raises(ValueError, match="exceed"):
         run_scattering(State.from_text("332....11....", 4), rule=2)
-    with pytest.raises(ScatteringBudgetError):
+    with pytest.raises(ScatteringBudgetError) as exc:
         run_scattering(State.from_text("332....11...2.....", 4), max_steps=2)
+    assert exc.value.last_time == 2
+    assert [(s.position, s.time) for s in exc.value.last_solitons] == [(6, 2), (11, 2), (14, 2)]
+
+
+@pytest.mark.parametrize(
+    "text,rule",
+    [(THREE_SOLITON_ROWS[0], None), (THREE_SOLITON_ROWS[0], 3), ("..332..", None), ("3321......211.....1....", None)],
+)
+def test_run_scattering_computes_census_once(text, rule, monkeypatch):
+    # the census is conserved, so one spectrum suffices, and the window of
+    # three states evolves each time step once
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solitons, "spectrum", counted("spectrum", solitons.spectrum))
+    monkeypatch.setattr(solitons, "evolve", counted("evolve", solitons.evolve))
+    report = run_scattering(State.from_text(text, 4), rule)
+    assert report.match
+    assert calls == {"spectrum": 1, "evolve": report.steps + 2}
 
 
 def test_run_scattering_under_finite_rule():
