@@ -191,7 +191,7 @@ def build_parser():
 
     p = sub.add_parser("inverse", help="apply the inverse time evolution")
     common(p)
-    p.add_argument("--capacity", type=_at_least(1), required=True)
+    p.add_argument("--capacity", type=_capacity, required=True, help="carrier capacity, or 'inf' to undo T")
     p.add_argument("--steps", type=_at_least(0), default=1)
     p.set_defaults(func=cmd_inverse)
 

@@ -92,9 +92,8 @@ def parse_element(text, n):
         parts = text.split(",")
     else:
         parts = list(text)
-    try:
-        letters = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"bad element text {text!r}") from None
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"bad element text {text!r}")
+    letters = tuple(int(p) for p in parts)
     validate_element(letters, n)
     return letters

@@ -6,11 +6,15 @@ capacity-l carrier through the cells left to right, and the full
 evolution T is T_l at l = #letters, where T_l saturates; the recorded
 local h values sum to the conserved quantities E_l, and their second
 differences count solitons by length.
+
+The carrier is an element of B_l stored as counts of the letters 1..n-1
+it holds (its load), the other l - load letters being the vacuum n.  Its
+exchange with one cell is the R-matrix B_l (x) B_1 -> B_1 (x) B_l, so a
+pass costs O(n) per cell whatever l is.  T_l^-1 is T_l conjugated by the
+mirror that reverses the cells and swaps each letter x < n with n - x.
 """
 
 from dataclasses import dataclass
-
-from .rmatrix import iso_single, iso_single_inverse
 
 
 class State:
@@ -52,7 +56,7 @@ class State:
 
     @property
     def nonvacuum_count(self):
-        return sum(1 for x in self.cells if x != self.n)
+        return len(self.cells) - self.cells.count(self.n)
 
     def letters(self):
         """Sorted multiset of non-vacuum letters."""
@@ -114,37 +118,82 @@ class CarrierTrace:
     final_carrier: tuple
 
 
+def _check_capacity(l):
+    if not isinstance(l, int) or l < 1:
+        raise ValueError(f"carrier capacity must be an integer >= 1, got {l!r}")
+
+
+def _sweep(cells, n, l):
+    """Thread a capacity-l carrier through `cells` and drain it on the right.
+
+    Returns the emitted letters and the h value of each exchange.  A cell v
+    meets the carrier as follows: if it holds a letter below v, the largest
+    such letter leaves and v joins (h = -1); otherwise, below capacity, v
+    joins and a vacuum leaves (h = 0); otherwise the largest held letter
+    leaves and v joins (h = 0).  A vacuum cell never joins, so the drain
+    over appended vacuum cells emits the held letters largest first, one
+    per cell, each with h = -1.
+    """
+    held = [0] * n  # held[x] counts the letter x in 1..n-1; held[0] stays 0
+    load = 0
+    out = []
+    hs = []
+    emit = out.append
+    record = hs.append
+    for v in cells:
+        if not load:
+            if v != n:
+                held[v] = load = 1
+            emit(n)
+            record(0)
+            continue
+        x = v - 1
+        while x and not held[x]:
+            x -= 1
+        if x:
+            held[x] -= 1
+            if v == n:
+                load -= 1
+            else:
+                held[v] += 1
+            emit(x)
+            record(-1)
+        elif load < l:
+            held[v] += 1
+            load += 1
+            emit(n)
+            record(0)
+        else:
+            x = n - 1
+            while not held[x]:
+                x -= 1
+            held[x] -= 1
+            held[v] += 1
+            emit(x)
+            record(0)
+    for x in range(n - 1, 0, -1):
+        out += [x] * held[x]
+    hs += [-1] * load
+    return out, hs
+
+
 def carrier_pass(p, l):
     """Sweep a capacity-l carrier across the state, left to right.
 
-    The carrier starts as all vacuum; vacuum cells are appended on the right
-    until it drains back to all vacuum, so the trace always covers the full
-    interaction.  One h value in {-1, 0} is recorded per processed cell.
+    The carrier starts as all vacuum; one vacuum cell is appended on the
+    right per letter it still holds after the last cell, which drains it
+    back to all vacuum, so the trace always covers the full interaction.
+    One h value in {-1, 0} is recorded per processed cell.
     """
-    if not isinstance(l, int) or l < 1:
-        raise ValueError(f"carrier capacity must be an integer >= 1, got {l!r}")
-    n = p.n
-    vacuum = (n,) * l
-    carrier = vacuum
-    out = []
-    hs = []
-    cells = p.cells
-    cap = len(cells) + l * (p.nonvacuum_count + 1)
-    i = 0
-    while i < len(cells) or carrier != vacuum:
-        if i > cap:
-            raise RuntimeError("carrier failed to drain within the padding cap")
-        v = cells[i] if i < len(cells) else n
-        w, carrier, h = iso_single(carrier, v)
-        out.append(w)
-        hs.append(h)
-        i += 1
-    return CarrierTrace(State(out, n, p.origin), tuple(hs), carrier)
+    _check_capacity(l)
+    out, hs = _sweep(p.cells, p.n, l)
+    return CarrierTrace(State(out, p.n, p.origin), tuple(hs), (p.n,) * l)
 
 
 def energy(p, l):
     """The conserved quantity E_l: minus the sum of the carrier h values."""
-    return -sum(carrier_pass(p, l).h_values)
+    _check_capacity(l)
+    return -sum(_sweep(p.cells, p.n, l)[1])
 
 
 def trajectory(p, capacity=None, steps=1):
@@ -171,32 +220,27 @@ def evolve(p, capacity=None, steps=1):
     return traces[-1].out_state if traces else p
 
 
-def evolve_inverse(p, l, steps=1):
-    """Undo T_l: right-to-left sweep with the inverse exchange.
+def _mirror(cells, n):
+    """The cells reversed, with each letter x < n swapped for n - x."""
+    return [x if x == n else n - x for x in reversed(cells)]
 
-    Vacuum cells are consumed from the conceptual left padding (the window
-    grows leftward, lowering the origin) until the carrier drains.
+
+def evolve_inverse(p, l, steps=1):
+    """Undo T_l (T itself when l is None, at capacity max(1, #letters)).
+
+    T_l^-1 = mirror . T_l . mirror, where the mirror reverses the cells and
+    swaps each letter x < n with n - x.  The cells the forward pass appends
+    to drain its carrier land on the left, lowering the origin by their
+    number.
     """
-    if not isinstance(l, int) or l < 1:
-        raise ValueError(f"carrier capacity must be an integer >= 1, got {l!r}")
+    if l is not None:
+        _check_capacity(l)
     state = p
     for _ in range(steps):
         n = state.n
-        vacuum = (n,) * l
-        carrier = vacuum
-        out = []
-        for v in reversed(state.cells):
-            carrier, w = iso_single_inverse(v, carrier)
-            out.append(w)
-        out.reverse()
-        prepended = 0
-        while carrier != vacuum:
-            if prepended > l:
-                raise RuntimeError("inverse carrier failed to drain")
-            carrier, w = iso_single_inverse(n, carrier)
-            out.insert(0, w)
-            prepended += 1
-        state = State(out, n, state.origin - prepended)
+        out, _ = _sweep(_mirror(state.cells, n), n, max(1, state.nonvacuum_count) if l is None else l)
+        drained = len(out) - len(state.cells)
+        state = State(_mirror(out, n), n, state.origin - drained)
     return state
 
 

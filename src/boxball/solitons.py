@@ -227,20 +227,21 @@ def run_scattering(p, rule=None, max_steps=400):
     )
 
 
+def _bump(rows, x):
+    """Schensted row insertion of x into a tableau of mutable rows, in place."""
+    for row in rows:
+        j = bisect_right(row, x)
+        if j == len(row):
+            row.append(x)
+            return
+        row[j], x = x, row[j]
+    rows.append([x])
+
+
 def row_insert(rows, x):
     """Schensted row insertion of a single letter into a tableau (tuple of rows)."""
     rows = [list(r) for r in rows]
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([x])
-            break
-        j = bisect_right(rows[i], x)
-        if j == len(rows[i]):
-            rows[i].append(x)
-            break
-        rows[i][j], x = x, rows[i][j]
-        i += 1
+    _bump(rows, x)
     return tuple(tuple(r) for r in rows)
 
 
@@ -250,11 +251,11 @@ def bump_tableau(p):
     Letters are read right to left with the vacuum dropped, then inserted in
     order; the result is invariant under every time evolution.
     """
-    rows = ()
+    rows = []
     for x in reversed(p.cells):
         if x != p.n:
-            rows = row_insert(rows, x)
-    return rows
+            _bump(rows, x)
+    return tuple(tuple(r) for r in rows)
 
 
 def format_tableau(rows):

@@ -118,6 +118,16 @@ def test_inverse_round_trip(monkeypatch, capsys):
     assert code == 0
     lines = out.splitlines()
     assert State.from_text(lines[1], 4).trim() == State.from_text(SINGLE_SOLITON_ROWS[0], 4).trim()
+    # --capacity inf undoes T, row by row
+    code, out, _ = run_cli(
+        ["inverse", "--n", "4", "--capacity", "inf", "--steps", "6"],
+        stdin=THREE_SOLITON_ROWS[6] + "\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    rows = [State.from_text(line, 4).trim() for line in out.splitlines()]
+    assert rows == [State.from_text(row, 4).trim() for row in reversed(THREE_SOLITON_ROWS)]
 
 
 def test_energy_table(monkeypatch, capsys):
@@ -173,6 +183,9 @@ def test_rmatrix_rejects_bad_input(monkeypatch, capsys):
     assert code == 2 and err == "error: pair: empty element text\n"
     code, out, err = run_cli(["rmatrix", "--n", "4"], stdin="12|3\n12|\n", monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and err == "error: line 2: empty element text\n"
+    # letters are ASCII digits only: int() would read '١٢' as 12
+    code, out, err = run_cli(["rmatrix", "--n", "4", "١٢|3"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == "" and err == "error: pair: bad element text '١٢'\n"
 
 
 def test_ybe_command(monkeypatch, capsys):
@@ -249,7 +262,9 @@ def test_numeric_options_rejected_at_parse_time(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert f"argument {argv[-2]}: must be an integer >=" in captured.err
+    # --capacity shares the evolve/scatter type, which also takes 'inf'
+    expected = "capacity must be a positive integer or 'inf'" if argv[-2] == "--capacity" else "must be an integer >="
+    assert f"argument {argv[-2]}: {expected}" in captured.err
 
 
 FUZZ_COMMANDS = [["evolve"], ["inverse", "--capacity", "2"], ["energy"], ["rmatrix"], ["scatter"], ["tableau"]]

@@ -98,3 +98,7 @@ def test_parse_format():
         crystal.parse_element("125", 4)
     with pytest.raises(ValueError):
         crystal.parse_element("", 4)
+    # each field is ASCII digits, as in State.from_text; int() alone takes all three
+    for text in ("١٢", "+1,2", "1_0,11"):
+        with pytest.raises(ValueError, match="bad element text"):
+            crystal.parse_element(text, 12)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxball import crystal, tensor
 from boxball.rmatrix import (
@@ -188,6 +190,26 @@ def test_oracle_matches_pairing():
     for n, l1, l2 in sizes:
         for (b, bp), expected in oracle_table(l1, l2, n).items():
             assert iso_with_energy(b, bp, n) == expected
+
+
+@st.composite
+def short_left_pairs(draw):
+    n = draw(st.integers(2, 5))
+    l1 = draw(st.integers(1, 3))
+    l2 = draw(st.integers(l1 + 1, 4))
+    word = lambda l: tuple(sorted(draw(st.lists(st.integers(1, n), min_size=l, max_size=l))))
+    return word(l1), word(l2), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_left_pairs())
+def test_mirrored_rule_matches_oracle(case):
+    # for len(b) < len(bp): the mirrored pairing, the oracle, and the omega
+    # form R(b (x) bp) = (omega c2, omega c1) with ((c1, c2), h) = R(omega bp (x) omega b)
+    b, bp, n = case
+    omega = lambda w: tuple(sorted(n + 1 - x for x in w))
+    (c1, c2), h = iso_with_energy(omega(bp), omega(b), n)
+    assert iso_with_energy(b, bp, n) == iso_oracle(b, bp, n) == ((omega(c2), omega(c1)), h)
 
 
 def test_format_affine():
