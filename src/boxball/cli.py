@@ -11,7 +11,8 @@ from .rmatrix import format_affine
 from .tensor import parse_tensor
 
 
-# At roughly 30 us per case, this bounds one ybe run to about half a minute.
+# At about 20 us per case (18-20 us measured from 8,000 to 343,000 cases under
+# CPython 3.11 on x86-64), this bounds one ybe run to about twenty seconds.
 YBE_MAX_CASES = 1_000_000
 
 

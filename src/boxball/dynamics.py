@@ -90,10 +90,10 @@ class State:
         origin = 0
         if s.startswith("@"):
             head, _, rest = s.partition(" ")
-            try:
-                origin = int(head[1:])
-            except ValueError:
-                raise ValueError(f"bad origin prefix {head!r}") from None
+            digits = head[1:].removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"bad origin prefix {head!r}")
+            origin = int(head[1:])
             s = rest.strip()
         wide = n > 9
         cells = []
@@ -235,6 +235,8 @@ def evolve_inverse(p, l, steps=1):
     """
     if l is not None:
         _check_capacity(l)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps!r}")
     state = p
     for _ in range(steps):
         n = state.n

@@ -1,20 +1,22 @@
 """The combinatorial R-matrix on pairs of crystal elements.
 
-The map B_l (x) B_l' -> B_l' (x) B_l and its energy value H come from a
-pairing of the letters of the two columns.  When l >= l' each letter of
-the right column, largest first, takes the largest free letter of the left
-column strictly below it; when l < l' the rule is mirrored, and each letter
-of the left column, smallest first, takes the smallest free letter of the
-right column strictly above it.  A line that finds no such letter wraps
-around, and H is minus the number of lines that did not wrap.  An
-independent oracle recomputes image and H from the crystal graph alone,
-by propagating images and H steps along e_i/f_i edges from the
-all-vacuum anchor.  Affinized elements z^d b carry an integer exponent d
-that the R-matrix shifts by +-H.
+The map B_l (x) B_l' -> B_l' (x) B_l and its energy value H come from one
+pairing of the letters of the two columns, stated for l >= l': each letter
+of the right column, largest first, takes the largest free letter of the
+left column strictly below it, and a line that finds none wraps around to
+the largest free letter.  H is minus the number of lines that did not
+wrap.  The rule compares letters and never reads the alphabet size, so the
+order l < l' follows by duality: with dual(w) the letters of w negated in
+reverse order, R(b (x) b') = (dual c2, dual c1) with the same H, where
+((c1, c2), H) = R(dual b' (x) dual b).  The single-letter exchange of the
+carrier is a view of the general map.  An independent oracle recomputes
+image and H from the crystal graph alone, by propagating images and H
+steps along e_i/f_i edges from the all-vacuum anchor.  Affinized elements
+z^d b carry an integer exponent d that the R-matrix shifts by +-H.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,6 +57,23 @@ class Pairing:
         return sum(1 for _, _, w in self.pairs if not w)
 
 
+def _pair(b, bp, order=None):
+    """The pairing loop: (right letter, left letter, wound) triples and the free left letters.
+
+    Needs len(b) >= len(bp).  The right letters are taken in `order`, a
+    sequence of indices into bp, or largest first when it is None.
+    """
+    free = list(b)
+    pairs = []
+    for v in reversed(bp) if order is None else [bp[k] for k in order]:
+        j = bisect_left(free, v) - 1
+        if j >= 0:
+            pairs.append((v, free.pop(j), False))
+        else:
+            pairs.append((v, free.pop(), True))
+    return pairs, free
+
+
 def pair(b, bp, order=None):
     """Pair the letters of bp (right column) with letters of b (left column).
 
@@ -66,68 +85,37 @@ def pair(b, bp, order=None):
     """
     if len(b) < len(bp):
         raise ValueError(f"left factor must be at least as long as the right one, got {len(b)} < {len(bp)}")
-    if order is None:
-        order = range(len(bp) - 1, -1, -1)
-    else:
+    if order is not None:
         order = list(order)
         if sorted(order) != list(range(len(bp))):
             raise ValueError(f"order must be a permutation of 0..{len(bp) - 1}, got {order!r}")
-    available = list(b)
-    pairs = []
-    for k in order:
-        v = bp[k]
-        j = bisect_left(available, v) - 1
-        if j >= 0:
-            pairs.append((v, available.pop(j), False))
-        else:
-            pairs.append((v, available.pop(), True))
-    return Pairing(tuple(pairs), tuple(available))
+    pairs, free = _pair(b, bp, order)
+    return Pairing(tuple(pairs), tuple(free))
 
 
-def _image_direct(b, bp):
-    """Image pair and H for len(b) >= len(bp): the pairing of `pair` in one loop."""
-    free = list(b)
-    paired = []
-    h = 0
-    for v in reversed(bp):
-        j = bisect_left(free, v) - 1
-        if j >= 0:
-            paired.append(free.pop(j))
-            h -= 1
-        else:
-            paired.append(free.pop())
-    return (tuple(sorted(paired)), tuple(sorted(bp + tuple(free)))), h
-
-
-def _image_mirrored(b, bp):
-    """Image pair and H for len(b) < len(bp), by the mirrored pairing.
-
-    Each letter of b, smallest first, takes the smallest free letter of bp
-    strictly above it, or wraps to the smallest free letter when there is
-    none.  b and the unpaired letters of bp form the new left factor.
-    """
-    free = list(bp)
-    paired = []
-    h = 0
-    for v in b:
-        j = bisect_right(free, v)
-        if j < len(free):
-            paired.append(free.pop(j))
-            h -= 1
-        else:
-            paired.append(free.pop(0))
-    return (tuple(sorted(b + tuple(free))), tuple(sorted(paired))), h
+def _dual(w):
+    """The dual column: the letters negated, in reverse order so they stay sorted."""
+    return tuple([-x for x in reversed(w)])
 
 
 def iso_with_energy(b, bp, n=None):
     """Image pair and H value of b (x) bp, for any pair of lengths.
 
-    n is accepted for symmetry with the crystal functions and is unused:
-    neither pairing rule depends on the alphabet size.
+    n is accepted for symmetry with the crystal functions and is unused: the
+    pairing compares letters only.
     """
-    if len(b) >= len(bp):
-        return _image_direct(b, bp)
-    return _image_mirrored(b, bp)
+    if len(b) < len(bp):
+        (c1, c2), h = iso_with_energy(_dual(bp), _dual(b))
+        return (_dual(c2), _dual(c1)), h
+    pairs, free = _pair(b, bp)
+    paired = []
+    h = 0
+    for _, u, wound in pairs:
+        paired.append(u)
+        if not wound:
+            h -= 1
+    paired.sort()
+    return (tuple(paired), tuple(sorted(bp + tuple(free)))), h
 
 
 def iso(b, bp, n=None):
@@ -141,24 +129,14 @@ def energy(b, bp, n=None):
 
 
 def iso_single(b, v):
-    """Exchange a single letter v with an element b, left factor at least as long.
+    """Exchange a single letter v with an element b: a view of iso_with_energy(b, (v,)).
 
     Returns (letter out, new element, h).  If b has a letter below v, the
     largest such letter is emitted and replaced by v (h = -1); otherwise the
     largest letter of b is emitted and v joins at the bottom (h = 0).
     """
-    j = bisect_left(b, v) - 1
-    if j >= 0:
-        return b[j], b[:j] + (v,) + b[j + 1 :], -1
-    return b[-1], (v,) + b[:-1], 0
-
-
-def iso_single_inverse(v, b):
-    """Inverse of iso_single: returns (new element, letter out)."""
-    j = bisect_right(b, v)
-    if j < len(b):
-        return b[:j] + (v,) + b[j + 1 :], b[j]
-    return b[1:] + (v,), b[0]
+    ((w,), c), h = iso_with_energy(b, (v,))
+    return w, c, h
 
 
 def apply_r(x, y, n=None):
@@ -178,16 +156,26 @@ def yang_baxter_check(l1, l2, l3, n):
     """Exhaustively compare (R x 1)(1 x R)(R x 1) with (1 x R)(R x 1)(1 x R).
 
     Runs over every basis triple of B_l1 (x) B_l2 (x) B_l3 with zero
-    exponents; exponents are part of the comparison.  Reports the first
+    exponents; exponents are part of the comparison.  Each distinct pair of
+    elements is exchanged once and its image reused.  Reports the first
     counterexample on failure.
     """
+    images = {}
+
+    def r(x, y):
+        key = (x.b, y.b)
+        got = images.get(key)
+        if got is None:
+            got = images[key] = iso_with_energy(x.b, y.b, n)
+        (c1, c2), h = got
+        return Affine(y.d + h, c1), Affine(x.d - h, c2)
 
     def r12(t):
-        a, b = apply_r(t[0], t[1], n)
+        a, b = r(t[0], t[1])
         return (a, b, t[2])
 
     def r23(t):
-        a, b = apply_r(t[1], t[2], n)
+        a, b = r(t[1], t[2])
         return (t[0], a, b)
 
     cases = 0

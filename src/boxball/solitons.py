@@ -27,7 +27,6 @@ __all__ = [
     "predict_m_body",
     "run_scattering",
     "state_with_solitons",
-    "row_insert",
     "bump_tableau",
     "format_tableau",
 ]
@@ -236,13 +235,6 @@ def _bump(rows, x):
             return
         row[j], x = x, row[j]
     rows.append([x])
-
-
-def row_insert(rows, x):
-    """Schensted row insertion of a single letter into a tableau (tuple of rows)."""
-    rows = [list(r) for r in rows]
-    _bump(rows, x)
-    return tuple(tuple(r) for r in rows)
 
 
 def bump_tableau(p):

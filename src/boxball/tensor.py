@@ -57,20 +57,6 @@ def reduce_signature(sig):
     return Signature(signs, tuple(minus) + tuple(plus))
 
 
-def tensor_epsilon(t, i, n):
-    """Number of times e_i applies to the tensor element."""
-    if t is None:
-        return 0
-    return reduce_signature(signature(t, i, n)).signs.count("-")
-
-
-def tensor_phi(t, i, n):
-    """Number of times f_i applies to the tensor element."""
-    if t is None:
-        return 0
-    return reduce_signature(signature(t, i, n)).signs.count("+")
-
-
 def tensor_e(t, i, n):
     """e_i on a tensor element via the signature rule; None if undefined."""
     if t is None:

@@ -1,8 +1,9 @@
-"""Shared fixtures: golden displays and seeded random-state builders."""
+"""Shared fixtures: golden displays, seeded random-state builders and a broken R-matrix."""
 
 import random
 
 from boxball.dynamics import State
+from boxball.rmatrix import iso_with_energy
 from boxball.solitons import state_with_solitons
 
 # Three solitons of lengths 3, 2, 1 scattering over seven time steps.
@@ -60,3 +61,13 @@ def random_separated_state(rng, lengths, n, min_gap_extra=1):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def broken_r(b, bp, n=None):
+    """The R-matrix with H lowered by one whenever the left factor starts with 1.
+
+    It breaks the Yang-Baxter equation: on B_2 (x) B_1 (x) B_1 at n = 2 the
+    third triple already fails.
+    """
+    image, h = iso_with_energy(b, bp, n)
+    return image, h - (b[0] == 1)

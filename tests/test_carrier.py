@@ -1,16 +1,18 @@
 """The counted carrier of `dynamics` against the tuple carrier it replaced.
 
-The reference passes below fold the single-letter R-matrix `iso_single`
-(and its inverse) over a carrier stored as a sorted tuple of length l,
-appending vacuum cells until the carrier drains: one exchange per cell at
-O(l) each.  The library's sweep must agree with them letter for letter.
+The reference passes below fold the single-letter R-matrix over a carrier
+stored as a sorted tuple of length l, appending vacuum cells until the
+carrier drains: one exchange per cell at O(l) each.  The forward pass
+exchanges through `iso_single`, the inverse through the general map with
+the letter on the left, `iso_with_energy((v,), carrier)`.  The library's
+sweep must agree with them letter for letter.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxball.dynamics import State, carrier_pass, evolve, evolve_inverse
-from boxball.rmatrix import iso_single, iso_single_inverse
+from boxball.rmatrix import iso_single, iso_with_energy
 from helpers import acceptance_ensemble
 
 
@@ -43,12 +45,12 @@ def reference_inverse(p, l):
     carrier = vacuum
     out = []
     for v in reversed(p.cells):
-        carrier, w = iso_single_inverse(v, carrier)
+        (carrier, (w,)), _ = iso_with_energy((v,), carrier)
         out.append(w)
     prepended = 0
     while carrier != vacuum:
         assert prepended <= l, "reference inverse carrier failed to drain"
-        carrier, w = iso_single_inverse(n, carrier)
+        (carrier, (w,)), _ = iso_with_energy((n,), carrier)
         out.append(w)
         prepended += 1
     out.reverse()

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from boxball import rmatrix
 from boxball.cli import main
 from boxball.dynamics import State
-from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS
+from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, broken_r
 
 
 def run_cli(argv, stdin="", monkeypatch=None, capsys=None):
@@ -76,6 +77,8 @@ def test_evolve_parse_error(monkeypatch, capsys):
     )
     assert code == 2
     assert "line 2" in err and "column 3" in err
+    code, out, err = run_cli(["evolve", "--n", "4"], stdin="@1_0 1\n", monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == "" and err == "error: line 1: bad origin prefix '@1_0'\n"
 
 
 def test_evolve_file_input(tmp_path, monkeypatch, capsys):
@@ -202,6 +205,16 @@ def test_ybe_command(monkeypatch, capsys):
     code, out, err = run_cli(["ybe", "--n", "9", "--sizes", "9,9,9"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "14366628991000 cases" in err
+    # an R-matrix that breaks the equation: FAIL, the counterexample, exit 1
+    monkeypatch.setattr(rmatrix, "iso_with_energy", broken_r)
+    code, out, err = run_cli(["ybe", "--n", "2", "--sizes", "2,1,1"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "FAIL sizes=2,1,1 n=2",
+        "input: z^{0}(1,1) z^{0}(2) z^{0}(1)",
+        "lhs:   z^{-3}(1) z^{0}(2) z^{3}(1,1)",
+        "rhs:   z^{-2}(1) z^{-1}(2) z^{3}(1,1)",
+    ]
 
 
 def test_scatter_command(monkeypatch, capsys):

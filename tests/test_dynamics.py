@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,12 @@ def test_state_text_round_trip():
     assert State.from_text("@-2 .,3", 11) == State((11, 3), 11, -2)
     with pytest.raises(ValueError, match="column 3: unexpected cell '12'"):
         State.from_text("1,12,.", 11)
+    # the origin prefix is an optional '-' and ASCII digits; int() alone also takes '1_0', '+3' and '٣'
+    assert State.from_text("@12 .1", 4).to_text() == "@12 .1"
+    assert State.from_text("@-0 1", 4) == State((1,), 4)
+    for head in ("@1_0", "@٣", "@+3", "@", "@-", "@--3", "@3.0"):
+        with pytest.raises(ValueError, match=re.escape(f"bad origin prefix '{head}'")):
+            State.from_text(head + " 1", 4)
 
 
 def test_state_text_round_trip_every_alphabet():
@@ -217,3 +225,10 @@ def test_capacity_validation():
         evolve_inverse(p, 0)
     with pytest.raises(ValueError):
         trajectory(p, 2, -1)
+    # a negative step count is an error for the inverse too, not a no-op
+    for step in (evolve, evolve_inverse):
+        with pytest.raises(ValueError, match="^steps must be >= 0, got -2$"):
+            step(p, 3, -2)
+        with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
+            step(p, None, -1)
+    assert evolve_inverse(p, 3, 0) == p

@@ -1,11 +1,12 @@
 import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxball import crystal, tensor
+from boxball import crystal, rmatrix, tensor
 from boxball.rmatrix import (
     Affine,
     apply_r,
@@ -14,12 +15,12 @@ from boxball.rmatrix import (
     iso,
     iso_oracle,
     iso_single,
-    iso_single_inverse,
     iso_with_energy,
     oracle_table,
     pair,
     yang_baxter_check,
 )
+from helpers import broken_r
 
 
 def test_pairing_examples():
@@ -142,15 +143,16 @@ def test_single_letter_exchange():
 
 
 def test_single_letter_exchange_inverse():
-    assert iso_single_inverse(1, (1, 2, 2)) == ((1, 1, 2), 2)
-    assert iso_single_inverse(4, (4, 4, 4)) == ((4, 4, 4), 4)
+    # the inverse exchange v (x) b -> b' (x) w is the general map with the letter on the left
+    assert iso_with_energy((1,), (1, 2, 2)) == (((1, 1, 2), (2,)), -1)
+    assert iso_with_energy((4,), (4, 4, 4)) == (((4, 4, 4), (4,)), 0)
     n = 4
     for b in crystal.elements(3, n):
         for v in range(1, n + 1):
-            out, new, _ = iso_single(b, v)
-            assert iso_single_inverse(out, new) == (b, v)
-            nb, w = iso_single_inverse(v, b)
-            assert iso_single(nb, w) == (v, b, iso_single(nb, w)[2])
+            out, new, h = iso_single(b, v)
+            assert iso_with_energy((out,), new) == ((b, (v,)), h)
+            (nb, (w,)), _ = iso_with_energy((v,), b)
+            assert iso_single(nb, w)[:2] == (v, b)
 
 
 def test_apply_r_examples():
@@ -176,6 +178,28 @@ def test_yang_baxter_small(n, sizes):
     report = yang_baxter_check(*sizes, n)
     assert report.ok, report.counterexample
     assert report.cases > 0
+
+
+def test_yang_baxter_exchanges_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted(b, bp, n=None):
+        calls.append((b, bp, n))
+        return iso_with_energy(b, bp, n)
+
+    monkeypatch.setattr(rmatrix, "iso_with_energy", counted)
+    report = yang_baxter_check(2, 3, 2, 3)
+    assert report.ok and report.cases == 6 * 10 * 6
+    assert calls and len(set(calls)) == len(calls)
+
+
+def test_yang_baxter_reports_a_counterexample(monkeypatch):
+    monkeypatch.setattr(rmatrix, "iso_with_energy", broken_r)
+    report = yang_baxter_check(2, 1, 1, 2)
+    assert not report.ok and report.cases == 3
+    start, lhs, rhs = report.counterexample
+    assert start == (Affine(0, (1, 1)), Affine(0, (2,)), Affine(0, (1,)))
+    assert lhs != rhs
 
 
 def test_oracle_examples():
@@ -210,6 +234,47 @@ def test_mirrored_rule_matches_oracle(case):
     omega = lambda w: tuple(sorted(n + 1 - x for x in w))
     (c1, c2), h = iso_with_energy(omega(bp), omega(b), n)
     assert iso_with_energy(b, bp, n) == iso_oracle(b, bp, n) == ((omega(c2), omega(c1)), h)
+
+
+def mirrored_reference(b, bp):
+    """The mirrored pairing loop that once served len(b) < len(bp) directly.
+
+    Each letter of b, smallest first, takes the smallest free letter of bp
+    strictly above it, or wraps to the smallest free letter when there is
+    none; b and the unpaired letters of bp form the new left factor.
+    """
+    free = list(bp)
+    paired = []
+    h = 0
+    for v in b:
+        j = bisect_right(free, v)
+        if j < len(free):
+            paired.append(free.pop(j))
+            h -= 1
+        else:
+            paired.append(free.pop(0))
+    return (tuple(sorted(b + tuple(free))), tuple(sorted(paired))), h
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(2, 12))
+    word = lambda: tuple(sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=8))))
+    return word(), word(), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_pairs())
+def test_duality_matches_mirrored_reference(case):
+    # beyond the oracle's reach: l, l' up to 8 and n up to 12
+    b, bp, n = case
+    (c1, c2), h = iso_with_energy(b, bp, n)
+    if len(b) < len(bp):
+        assert ((c1, c2), h) == mirrored_reference(b, bp)
+    assert (len(c1), len(c2)) == (len(bp), len(b))
+    assert iso_with_energy(c1, c2, n) == ((b, bp), h)
+    assert sorted(b + bp) == sorted(c1 + c2)
+    assert -min(len(b), len(bp)) <= h <= 0
 
 
 def test_format_affine():

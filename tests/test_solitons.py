@@ -13,7 +13,6 @@ from boxball.solitons import (
     label,
     predict_m_body,
     predict_two_body,
-    row_insert,
     run_scattering,
     state_with_solitons,
 )
@@ -245,10 +244,8 @@ def test_velocity_law():
 
 
 def test_row_insert_and_bump_tableau():
-    rows = ()
-    for x in (2, 1, 1, 2, 3, 3):
-        rows = row_insert(rows, x)
-    assert rows == ((1, 1, 2, 3, 3), (2,))
+    # the state read right to left is the word 2, 1, 1, 2, 3, 3
+    assert bump_tableau(State((3, 3, 2, 1, 1, 2), 4)) == ((1, 1, 2, 3, 3), (2,))
     # both reading words of the scattering display bump to the same tableau
     assert bump_tableau(State.from_text(THREE_SOLITON_ROWS[0], 4)) == ((1, 1, 2, 3, 3), (2,))
     assert bump_tableau(State.from_text(THREE_SOLITON_ROWS[6], 4)) == ((1, 1, 2, 3, 3), (2,))

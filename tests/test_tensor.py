@@ -121,11 +121,12 @@ def test_signature_counts_match_iteration():
                 cur, m = t, 0
                 while (cur := tensor.tensor_e(cur, i, n)) is not None:
                     m += 1
-                assert m == tensor.tensor_epsilon(t, i, n)
+                reduced = tensor.reduce_signature(tensor.signature(t, i, n)).signs
+                assert m == reduced.count("-")
                 cur, m = t, 0
                 while (cur := tensor.tensor_f(cur, i, n)) is not None:
                     m += 1
-                assert m == tensor.tensor_phi(t, i, n)
+                assert m == reduced.count("+")
 
 
 def test_null_propagates():
