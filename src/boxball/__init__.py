@@ -25,6 +25,6 @@ from .solitons import (
     run_scattering,
     state_with_solitons,
 )
-from .tensor import is_highest_weight, reduce_signature, signature, tensor_e, tensor_f
+from .tensor import reduce_signature, signature, tensor_e, tensor_f
 
 __version__ = "0.1.0"

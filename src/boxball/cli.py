@@ -25,14 +25,29 @@ def _check_n(n):
         raise CliError(f"--n must be in 2..9 for the compact text format, got {n}")
 
 
+def _integer(text):
+    """The value of an optional '-' then ASCII digits, else None.
+
+    int() alone also reads non-ASCII digits, '_' and '+', which the text
+    formats refuse.
+    """
+    digits = text.removeprefix("-")
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
+def _alphabet_size(text):
+    """argparse type for --n, with the message of type=int."""
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 def _capacity(text):
     if text == "inf":
         return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"capacity must be a positive integer or 'inf', got {text!r}")
-    if value < 1:
+    value = _integer(text)
+    if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"capacity must be a positive integer or 'inf', got {text!r}")
     return value
 
@@ -41,10 +56,7 @@ def _at_least(low):
     """argparse type for an integer option that must be >= low."""
 
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
+        value = _integer(text)
         if value is None or value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
         return value
@@ -104,11 +116,12 @@ def cmd_inverse(args):
 
 def cmd_energy(args):
     for state in _each_state(args):
-        spec = dynamics.spectrum(state, args.lmax)
-        top = args.lmax or len(spec.n_values)
+        spec = dynamics.spectrum(state)
+        last = len(spec.n_values)
         print("l E N")
-        for l in range(1, top + 1):
-            print(f"{l} {spec.e_values[l]} {spec.n_values[l]}")
+        # past the table E_l stays at its last value and N_l is 0
+        for l in range(1, (args.lmax or last) + 1):
+            print(f"{l} {spec.e_values[min(l, last)]} {spec.n_values.get(l, 0)}")
     return 0
 
 
@@ -127,9 +140,8 @@ def cmd_rmatrix(args):
 
 
 def cmd_ybe(args):
-    try:
-        sizes = tuple(int(x) for x in args.sizes.split(","))
-    except ValueError:
+    sizes = tuple(_integer(x) for x in args.sizes.split(","))
+    if None in sizes:
         raise CliError(f"--sizes must be three comma-separated integers, got {args.sizes!r}")
     if len(sizes) != 3 or any(l < 1 for l in sizes):
         raise CliError(f"--sizes must be three positive integers, got {args.sizes!r}")
@@ -180,7 +192,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=int, required=True, help="alphabet size (vacuum letter is n)")
+        p.add_argument("--n", type=_alphabet_size, required=True, help="alphabet size (vacuum letter is n)")
         p.add_argument("--file", help="read input from a file instead of stdin")
 
     p = sub.add_parser("evolve", help="apply the time evolution to states")

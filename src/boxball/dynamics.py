@@ -5,7 +5,8 @@ the vacuum letter n on both sides.  The time evolution T_l threads a
 capacity-l carrier through the cells left to right, and the full
 evolution T is T_l at l = #letters, where T_l saturates; the recorded
 local h values sum to the conserved quantities E_l, and their second
-differences count solitons by length.
+differences count solitons by length.  E_l stops changing past the
+longest soliton, so the spectrum sweeps l only until it does.
 
 The carrier is an element of B_l stored as counts of the letters 1..n-1
 it holds (its load), the other l - load letters being the vacuum n.  Its
@@ -32,12 +33,14 @@ class State:
     def __init__(self, cells, n, origin=0):
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"alphabet size must be an integer >= 2, got {n!r}")
+        if not isinstance(origin, int):
+            raise ValueError(f"origin must be an integer, got {origin!r}")
         cells = tuple(cells)
         for x in cells:
             if not isinstance(x, int) or not 1 <= x <= n:
                 raise ValueError(f"cell letter {x!r} out of range 1..{n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "origin", int(origin))
+        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "cells", cells)
 
     def __setattr__(self, name, value):
@@ -57,10 +60,6 @@ class State:
     @property
     def nonvacuum_count(self):
         return len(self.cells) - self.cells.count(self.n)
-
-    def letters(self):
-        """Sorted multiset of non-vacuum letters."""
-        return tuple(sorted(x for x in self.cells if x != self.n))
 
     def trim(self):
         """Canonical form: outer vacuum stripped, origin adjusted."""
@@ -111,11 +110,10 @@ class State:
 
 @dataclass(frozen=True)
 class CarrierTrace:
-    """One carrier sweep: transformed cells, local h values, final carrier."""
+    """One carrier sweep: transformed cells and local h values."""
 
     out_state: State
     h_values: tuple
-    final_carrier: tuple
 
 
 def _check_capacity(l):
@@ -187,7 +185,7 @@ def carrier_pass(p, l):
     """
     _check_capacity(l)
     out, hs = _sweep(p.cells, p.n, l)
-    return CarrierTrace(State(out, p.n, p.origin), tuple(hs), (p.n,) * l)
+    return CarrierTrace(State(out, p.n, p.origin), tuple(hs))
 
 
 def energy(p, l):
@@ -258,15 +256,16 @@ class EnergySpectrum:
         return {l: c for l, c in self.n_values.items() if c}
 
 
-def spectrum(p, l_max=None):
+def spectrum(p):
     """Energies and soliton counts, swept over l = 1, 2, ... until E_l stabilizes.
 
     E_l - E_{l-1} counts the solitons of length >= l, so once it is 0 it stays
-    0.  The sweep stops at the first such l past l_max (if given), where N_l = 0.
+    0.  The sweep stops at the first such l, where N_l = 0; every larger l has
+    the same E_l and N_l = 0.  That l is at most #letters + 1.
     """
     e = {0: 0, 1: energy(p, 1)}
     l = 1
-    while l <= (l_max or 0) or e[l] != e[l - 1]:
+    while e[l] != e[l - 1]:
         l += 1
         e[l] = energy(p, l)
     nvals = {k: -e[k - 1] + 2 * e[k] - e.get(k + 1, e[k]) for k in range(1, l + 1)}

@@ -52,10 +52,6 @@ class Pairing:
     def winding_count(self):
         return sum(1 for _, _, w in self.pairs if w)
 
-    @property
-    def unwinding_count(self):
-        return sum(1 for _, _, w in self.pairs if not w)
-
 
 def _pair(b, bp, order=None):
     """The pairing loop: (right letter, left letter, wound) triples and the free left letters.

@@ -8,7 +8,6 @@ labels through the R-matrix with an extra exponent shift of twice the
 shorter length, and multi-body scattering factorizes into such swaps.
 """
 
-import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -98,10 +97,7 @@ def label(s, capacity=None):
     The phase is position minus velocity times time, with velocity
     min(capacity, length); the element is the reversed content word.
     """
-    if capacity is None or capacity == math.inf:
-        velocity = s.length
-    else:
-        velocity = min(capacity, s.length)
+    velocity = s.length if capacity is None else min(capacity, s.length)
     gamma = s.position - velocity * s.time
     return Affine(-gamma, tuple(reversed(s.content)))
 
@@ -123,9 +119,10 @@ def predict_two_body(a, b):
 def predict_m_body(labels, order=None):
     """Scatter labels with strictly decreasing lengths into fully reversed order.
 
-    The reversal is composed from adjacent two-body swaps; `order` may give
-    an explicit sequence of swap positions, and any valid order yields the
-    same result (a consequence of the Yang-Baxter equation, property-tested).
+    The reversal is composed from adjacent two-body swaps at the positions
+    in `order`, by default the bubble-sort sequence 0..m-2, 0..m-3, ..., 0
+    for m labels.  Any order that fully reverses the lengths yields the same
+    result (a consequence of the Yang-Baxter equation, property-tested).
     """
     labels = list(labels)
     lengths = [len(x.b) for x in labels]
@@ -134,19 +131,12 @@ def predict_m_body(labels, order=None):
     if any(a < b for a, b in zip(lengths, lengths[1:])):
         raise ValueError(f"lengths must be strictly decreasing, got {lengths}")
     if order is None:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(labels) - 1):
-                if len(labels[i].b) > len(labels[i + 1].b):
-                    labels[i], labels[i + 1] = predict_two_body(labels[i], labels[i + 1])
-                    changed = True
-    else:
-        for i in order:
-            labels[i], labels[i + 1] = predict_two_body(labels[i], labels[i + 1])
-        out_lengths = [len(x.b) for x in labels]
-        if out_lengths != sorted(out_lengths):
-            raise ValueError(f"swap order {list(order)!r} did not fully reverse the lengths")
+        order = [i for k in range(len(labels) - 1, 0, -1) for i in range(k)]
+    for i in order:
+        labels[i], labels[i + 1] = predict_two_body(labels[i], labels[i + 1])
+    out_lengths = [len(x.b) for x in labels]
+    if out_lengths != sorted(out_lengths):
+        raise ValueError(f"swap order {list(order)!r} did not fully reverse the lengths")
     return tuple(labels)
 
 

@@ -87,11 +87,6 @@ def tensor_f(t, i, n):
     return t[:j] + (new,) + t[j + 1 :]
 
 
-def is_highest_weight(t, colors, n):
-    """True iff e_i kills the tensor element for every color in colors."""
-    return all(tensor_e(t, i, n) is None for i in colors)
-
-
 def format_tensor(t, n):
     return "|".join(crystal.format_element(b, n) for b in t)
 

@@ -59,6 +59,11 @@ def random_separated_state(rng, lengths, n, min_gap_extra=1):
     return state_with_solitons(placements, n)
 
 
+def letters(p):
+    """The sorted non-vacuum letters of a state."""
+    return sorted(x for x in p.cells if x != p.n)
+
+
 def seeded(seed):
     return random.Random(seed)
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxball import rmatrix
+from boxball import dynamics, rmatrix
 from boxball.cli import main
-from boxball.dynamics import State
+from boxball.dynamics import State, energy
 from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, broken_r
 
 
@@ -160,6 +160,34 @@ def test_energy_table_vacuum_and_lmax(monkeypatch, capsys):
     assert out.splitlines() == ["l E N", "1 1 0", "2 2 0", "3 3 1", "4 3 0"]
 
 
+@st.composite
+def cli_states(draw):
+    n = draw(st.integers(2, 9))
+    return State(draw(st.lists(st.integers(1, n), min_size=1, max_size=30)), n)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=cli_states(), lmax=st.integers(1, 40))
+def test_energy_lmax_prints_exactly_lmax_rows(p, lmax, monkeypatch, capsys):
+    # row l is E_l with N_l the second difference of a sweep over every l,
+    # also past the point where the table stabilizes
+    code, out, err = run_cli(["energy", "--n", str(p.n), "--lmax", str(lmax)], p.to_text() + "\n", monkeypatch, capsys)
+    e = [0] + [energy(p, l) for l in range(1, lmax + 2)]
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["l E N"] + [f"{l} {e[l]} {-e[l - 1] + 2 * e[l] - e[l + 1]}" for l in range(1, lmax + 1)]
+
+
+def test_energy_lmax_sweeps_at_most_letters_plus_two(monkeypatch, capsys):
+    sweep = dynamics._sweep
+    calls = []
+    monkeypatch.setattr(dynamics, "_sweep", lambda *args: calls.append(args) or sweep(*args))
+    for row in (THREE_SOLITON_ROWS[0], "......", "..332.."):
+        calls.clear()
+        code, out, _ = run_cli(["energy", "--n", "4", "--lmax", "500"], row + "\n", monkeypatch, capsys)
+        assert code == 0 and len(out.splitlines()) == 501
+        assert len(calls) <= State.from_text(row, 4).nonvacuum_count + 2
+
+
 def test_rmatrix_command(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["rmatrix", "--n", "4", "1123|23"], monkeypatch=monkeypatch, capsys=capsys
@@ -278,6 +306,38 @@ def test_numeric_options_rejected_at_parse_time(argv, monkeypatch, capsys):
     # --capacity shares the evolve/scatter type, which also takes 'inf'
     expected = "capacity must be a positive integer or 'inf'" if argv[-2] == "--capacity" else "must be an integer >="
     assert f"argument {argv[-2]}: {expected}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("ybe --n 3", "--sizes", "١,1,1"),
+        ("ybe --n 2", "--sizes", "1_0,1,1"),
+        ("ybe --n 2", "--sizes", "1,+1,1"),
+        ("ybe --n 2", "--sizes", "1, 1,1"),
+        ("evolve --steps 2", "--n", "٤"),
+        ("energy", "--n", "+4"),
+        ("evolve --n 4", "--steps", "٢"),
+        ("evolve --n 4", "--capacity", "+1_0"),
+        ("inverse --n 4", "--capacity", "٣"),
+        ("energy --n 4", "--lmax", "３"),
+        ("energy --n 4", "--lmax", " 3"),
+        ("scatter --n 4", "--rule", "+3"),
+        ("scatter --n 4", "--max-steps", "1_0"),
+    ],
+)
+def test_numeric_options_take_ascii_digits_only(command, option, value, monkeypatch, capsys):
+    # int() alone reads these spellings; every numeric option takes an
+    # optional '-' then ASCII digits, as the text formats do
+    monkeypatch.setattr("sys.stdin", io.StringIO("..332..\n"))
+    try:
+        code = main([*command.split(), option, value])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error: " in line]
+    assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+    assert len(errors) == 1 and option in errors[0] and repr(value) in errors[0]
 
 
 FUZZ_COMMANDS = [["evolve"], ["inverse", "--capacity", "2"], ["energy"], ["rmatrix"], ["scatter"], ["tableau"]]

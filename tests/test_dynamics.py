@@ -13,7 +13,7 @@ from boxball.dynamics import (
     spectrum,
     trajectory,
 )
-from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, acceptance_ensemble, random_state, seeded
+from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, acceptance_ensemble, letters, random_state, seeded
 
 
 def test_state_text_round_trip():
@@ -42,6 +42,10 @@ def test_state_text_round_trip():
     for head in ("@1_0", "@٣", "@+3", "@", "@-", "@--3", "@3.0"):
         with pytest.raises(ValueError, match=re.escape(f"bad origin prefix '{head}'")):
             State.from_text(head + " 1", 4)
+    # the constructor takes an int origin only, as it takes int cells only
+    for origin in (1.5, "3", None):
+        with pytest.raises(ValueError, match="^origin must be an integer, got "):
+            State((1,), 4, origin)
 
 
 def test_state_text_round_trip_every_alphabet():
@@ -80,7 +84,8 @@ def test_carrier_pass_all_vacuum():
     trace = carrier_pass(p, 3)
     assert trace.out_state == p
     assert set(trace.h_values) <= {0}
-    assert trace.final_carrier == (4, 4, 4)
+    # the carrier ends all vacuum: every letter it took was emitted
+    assert letters(trace.out_state) == letters(p)
     assert energy(p, 2) == 0
 
 
@@ -88,7 +93,8 @@ def test_carrier_trace_shape():
     p = State.from_text("332", 4)
     trace = carrier_pass(p, 3)
     assert len(trace.h_values) == len(trace.out_state.cells)
-    assert trace.final_carrier == (4, 4, 4)
+    # the carrier ends all vacuum: every letter it took was emitted
+    assert letters(trace.out_state) == letters(p)
     assert trace.out_state.to_text() == "...332"
     assert trace.h_values == (0, 0, 0, -1, -1, -1)
 
@@ -127,20 +133,22 @@ def states(draw, max_cells=25):
 
 
 @settings(max_examples=300, deadline=None)
-@given(states(), st.none() | st.integers(1, 30))
-def test_spectrum_matches_full_sweep(p, l_max):
-    # spectrum stops where E_l stabilizes; the sweep to #letters+2 (or past
-    # l_max) must give the same census, energies and counts
-    top = max(p.nonvacuum_count + 2, (l_max or 0) + 1)
+@given(states())
+def test_spectrum_matches_full_sweep(p):
+    # spectrum stops where E_l stabilizes; the sweep to #letters+2 must give
+    # the same census, energies and counts
+    top = p.nonvacuum_count + 2
     e = {0: 0, **{l: energy(p, l) for l in range(1, top + 2)}}
     n_full = {l: -e[l - 1] + 2 * e[l] - e[l + 1] for l in range(1, top + 1)}
-    spec = spectrum(p, l_max)
+    spec = spectrum(p)
     assert spec.census() == {l: c for l, c in n_full.items() if c}
     assert set(spec.e_values) == set(range(len(spec.e_values)))
     assert all(spec.e_values[l] == e[l] for l in spec.e_values)
     assert set(spec.n_values) == set(range(1, len(spec.e_values)))
     assert all(spec.n_values[l] == n_full[l] for l in spec.n_values)
-    assert set(range(1, (l_max or 0) + 1)) <= set(spec.n_values)
+    # the sweep stops at the first l with E_l = E_{l-1}, at most #letters + 1
+    last = len(spec.n_values)
+    assert [l for l in range(1, top + 1) if e[l] == e[l - 1]][0] == last <= p.nonvacuum_count + 1
 
 
 def test_energy_monotone_and_stabilizing():
@@ -171,7 +179,7 @@ def test_letter_content_conserved():
     for _ in range(100):
         p = random_state(rng)
         for l in (1, 2, 4):
-            assert evolve(p, l, 1).letters() == p.letters()
+            assert letters(evolve(p, l, 1)) == letters(p)
 
 
 def test_full_evolution_matches_saturated_capacity():

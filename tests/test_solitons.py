@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxball.dynamics import State, evolve
 from boxball.rmatrix import Affine
@@ -105,6 +107,32 @@ def test_predict_m_body_bracketing_independence():
             for l in (4, 3, 1)
         )
         assert predict_m_body(labels, order=(0, 1, 0)) == predict_m_body(labels, order=(1, 0, 1))
+
+
+@st.composite
+def decreasing_labels(draw):
+    """2..6 labels over the reduced alphabet with strictly decreasing lengths."""
+    n = draw(st.integers(3, 6))
+    lengths = sorted(draw(st.sets(st.integers(1, 7), min_size=2, max_size=6)), reverse=True)
+    return tuple(
+        Affine(draw(st.integers(-20, 20)), tuple(sorted(draw(st.lists(st.integers(1, n - 1), min_size=l, max_size=l)))))
+        for l in lengths
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(decreasing_labels(), st.data())
+def test_predict_m_body_any_reduced_word(labels, data):
+    # a random reduced word of the full reversal: each swap exchanges two
+    # lengths still in decreasing order
+    lengths = [len(x.b) for x in labels]
+    order = []
+    while descents := [i for i in range(len(lengths) - 1) if lengths[i] > lengths[i + 1]]:
+        i = data.draw(st.sampled_from(descents))
+        lengths[i], lengths[i + 1] = lengths[i + 1], lengths[i]
+        order.append(i)
+    assert len(order) == len(labels) * (len(labels) - 1) // 2
+    assert predict_m_body(labels, order) == predict_m_body(labels)
 
 
 def test_phase_shifts_are_antisymmetric():

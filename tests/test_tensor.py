@@ -135,10 +135,10 @@ def test_null_propagates():
 
 
 def test_is_highest_weight():
+    # highest weight: e_i kills the tensor element for every color i in 1..n-2
     n = 4
-    assert tensor.is_highest_weight(((1, 1, 1), (1, 1, 2, 2)), range(1, n - 1), n)
-    assert not tensor.is_highest_weight(((2,), (1,)), [1], 3)
-    assert tensor.is_highest_weight(((2,), (1,)), [], 3)
+    assert all(tensor.tensor_e(((1, 1, 1), (1, 1, 2, 2)), i, n) is None for i in range(1, n - 1))
+    assert tensor.tensor_e(((2,), (1,)), 1, 3) is not None
 
 
 def test_parse_format_tensor():
