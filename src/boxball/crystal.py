@@ -84,11 +84,15 @@ def format_element(b, n):
 
 
 def parse_element(text, n):
-    """Inverse of format_element; rejects out-of-range or unsorted input."""
+    """Inverse of format_element; rejects out-of-range or unsorted input.
+
+    Fields are comma separated for n > 9, so "11" is the letter 11 there;
+    for n <= 9 each digit is a letter unless the text has commas.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty element text")
-    if "," in text:
+    if n > 9 or "," in text:
         parts = text.split(",")
     else:
         parts = list(text)

@@ -33,15 +33,28 @@ class State:
     def __init__(self, cells, n, origin=0):
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"alphabet size must be an integer >= 2, got {n!r}")
-        if not isinstance(origin, int):
+        if type(origin) is not int:
             raise ValueError(f"origin must be an integer, got {origin!r}")
         cells = tuple(cells)
         for x in cells:
-            if not isinstance(x, int) or not 1 <= x <= n:
+            if type(x) is not int or not 1 <= x <= n:
                 raise ValueError(f"cell letter {x!r} out of range 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def _trusted(cls, cells, n, origin):
+        """A state from a tuple of letters already known to lie in 1..n, unchecked.
+
+        Only for cells the library derived from a checked state; input from
+        outside goes through ``State(...)`` or ``State.from_text``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "cells", cells)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("State is immutable")
@@ -71,8 +84,8 @@ class State:
         while hi > lo and cells[hi - 1] == self.n:
             hi -= 1
         if lo == hi:
-            return State((), self.n, 0)
-        return State(cells[lo:hi], self.n, self.origin + lo)
+            return State._trusted((), self.n, 0)
+        return State._trusted(cells[lo:hi], self.n, self.origin + lo)
 
     def to_text(self):
         if self.n > 9:
@@ -201,6 +214,8 @@ def trajectory(p, capacity=None, steps=1):
     capacity max(1, #letters), where T_l has saturated (T_l = T for every
     l >= #letters).
     """
+    if capacity is not None:
+        _check_capacity(capacity)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps!r}")
     traces = []
@@ -219,8 +234,9 @@ def evolve(p, capacity=None, steps=1):
 
 
 def _mirror(cells, n):
-    """The cells reversed, with each letter x < n swapped for n - x."""
-    return [x if x == n else n - x for x in reversed(cells)]
+    """The cells reversed, with each letter x < n swapped for n - x, as a tuple."""
+    swap = (*range(n, 0, -1), n)
+    return tuple([swap[x] for x in reversed(cells)])
 
 
 def evolve_inverse(p, l, steps=1):
@@ -240,7 +256,7 @@ def evolve_inverse(p, l, steps=1):
         n = state.n
         out, _ = _sweep(_mirror(state.cells, n), n, max(1, state.nonvacuum_count) if l is None else l)
         drained = len(out) - len(state.cells)
-        state = State(_mirror(out, n), n, state.origin - drained)
+        state = State._trusted(_mirror(out, n), n, state.origin - drained)
     return state
 
 

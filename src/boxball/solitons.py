@@ -216,27 +216,26 @@ def run_scattering(p, rule=None, max_steps=400):
     )
 
 
-def _bump(rows, x):
-    """Schensted row insertion of x into a tableau of mutable rows, in place."""
-    for row in rows:
-        j = bisect_right(row, x)
-        if j == len(row):
-            row.append(x)
-            return
-        row[j], x = x, row[j]
-    rows.append([x])
-
-
 def bump_tableau(p):
     """The row-bumping tableau of a state.
 
-    Letters are read right to left with the vacuum dropped, then inserted in
-    order; the result is invariant under every time evolution.
+    Letters are read right to left with the vacuum dropped, then
+    Schensted row-inserted in order; the result is invariant under every
+    time evolution.
     """
+    n = p.n
     rows = []
     for x in reversed(p.cells):
-        if x != p.n:
-            _bump(rows, x)
+        if x == n:
+            continue
+        for row in rows:
+            j = bisect_right(row, x)
+            if j == len(row):
+                row.append(x)
+                break
+            row[j], x = x, row[j]
+        else:
+            rows.append([x])
     return tuple(tuple(r) for r in rows)
 
 

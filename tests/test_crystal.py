@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxball import crystal
 
@@ -102,3 +104,16 @@ def test_parse_format():
     for text in ("١٢", "+1,2", "1_0,11"):
         with pytest.raises(ValueError, match="bad element text"):
             crystal.parse_element(text, 12)
+    # above nine letters a field without commas is one letter, as format_element writes it
+    assert crystal.parse_element("11", 12) == (11,)
+    assert crystal.format_element((11,), 12) == "11"
+    with pytest.raises(ValueError):
+        crystal.parse_element("123", 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_element_text_round_trip(data):
+    n = data.draw(st.integers(2, 12))
+    b = tuple(sorted(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=12))))
+    assert crystal.parse_element(crystal.format_element(b, n), n) == b

@@ -43,9 +43,15 @@ def test_state_text_round_trip():
         with pytest.raises(ValueError, match=re.escape(f"bad origin prefix '{head}'")):
             State.from_text(head + " 1", 4)
     # the constructor takes an int origin only, as it takes int cells only
-    for origin in (1.5, "3", None):
+    for origin in (1.5, "3", None, True, False):
         with pytest.raises(ValueError, match="^origin must be an integer, got "):
             State((1,), 4, origin)
+    # a bool is an int to isinstance, but neither a letter nor an origin:
+    # True would print as a cell 'True.' and as a prefix '@True ' that from_text refuses
+    with pytest.raises(ValueError, match=re.escape("cell letter True out of range 1..2")):
+        State((True, 2), 2)
+    with pytest.raises(ValueError, match="^origin must be an integer, got True$"):
+        State((1, 2), 2, True)
 
 
 def test_state_text_round_trip_every_alphabet():
@@ -127,9 +133,26 @@ def test_spectrum():
 
 
 @st.composite
-def states(draw, max_cells=25):
-    n = draw(st.integers(2, 6))
-    return State(draw(st.lists(st.integers(1, n), max_size=max_cells)), n)
+def states(draw, max_cells=25, max_n=6, max_origin=0):
+    n = draw(st.integers(2, max_n))
+    cells = draw(st.lists(st.integers(1, n), max_size=max_cells))
+    return State(cells, n, draw(st.integers(-max_origin, max_origin)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(states(max_n=12, max_origin=50))
+def test_state_text_round_trip_property(p):
+    assert State.from_text(p.to_text(), p.n) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(states(max_n=12, max_origin=5), st.one_of(st.none(), st.integers(1, 6)))
+def test_library_built_states_pass_validation(p, l):
+    # trim and evolve_inverse build their results without re-checking the
+    # cells; the checking constructor must accept each result unchanged
+    for q in (p.trim(), evolve_inverse(p, l, 1), evolve_inverse(p, l, 2)):
+        assert type(q.cells) is tuple
+        assert q == State(q.cells, q.n, q.origin)
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,6 +172,32 @@ def test_spectrum_matches_full_sweep(p):
     # the sweep stops at the first l with E_l = E_{l-1}, at most #letters + 1
     last = len(spec.n_values)
     assert [l for l in range(1, top + 1) if e[l] == e[l - 1]][0] == last <= p.nonvacuum_count + 1
+
+
+def ten_elimination(p):
+    """Pairs deleted per round when every adjacent (ball, vacuum) pair goes at once, n = 2.
+
+    The window is padded on the right with one vacuum per ball, so each ball
+    finds a vacuum to pair with; no carrier is run.
+    """
+    word = "".join(map(str, p.cells)) + "2" * p.nonvacuum_count
+    rounds = []
+    while "1" in word:
+        rounds.append(word.count("12"))
+        assert rounds[-1]
+        word = word.replace("12", "")
+    return rounds
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(1, 2), max_size=40), st.integers(-5, 5))
+def test_spectrum_matches_ten_elimination(cells, origin):
+    # Torii-Takahashi-Satsuma: round k of the 10-elimination deletes one pair
+    # per soliton of length >= k, which is E_k - E_{k-1}, on any state,
+    # mid-collision ones included; the table ends with one zero difference
+    p = State(cells, 2, origin)
+    e = spectrum(p).e_values
+    assert [e[k] - e[k - 1] for k in range(1, len(e))] == ten_elimination(p) + [0]
 
 
 def test_energy_monotone_and_stabilizing():
@@ -240,3 +289,7 @@ def test_capacity_validation():
         with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
             step(p, None, -1)
     assert evolve_inverse(p, 3, 0) == p
+    # the capacity is checked before the first step, zero steps included
+    for step, capacity in ((evolve, 0), (trajectory, -1), (evolve, 2.5), (evolve_inverse, 0)):
+        with pytest.raises(ValueError, match=f"^carrier capacity must be an integer >= 1, got {capacity}$"):
+            step(p, capacity, 0)

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -279,6 +280,29 @@ def test_row_insert_and_bump_tableau():
     assert bump_tableau(State.from_text(THREE_SOLITON_ROWS[6], 4)) == ((1, 1, 2, 3, 3), (2,))
     assert bump_tableau(State.from_text("....", 4)) == ()
     assert format_tableau(((1, 1, 2, 3, 3), (2,))) == "1 1 2 3 3\n2"
+
+
+def reference_bump(rows, x):
+    """Schensted row insertion of x into a tableau of mutable rows, in place."""
+    for row in rows:
+        j = bisect_right(row, x)
+        if j == len(row):
+            row.append(x)
+            return
+        row[j], x = x, row[j]
+    rows.append([x])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bump_tableau_matches_row_insertion(data):
+    n = data.draw(st.integers(2, 12))
+    cells = data.draw(st.lists(st.integers(1, n), max_size=30))
+    rows = []
+    for x in reversed(cells):
+        if x != n:
+            reference_bump(rows, x)
+    assert bump_tableau(State(cells, n)) == tuple(tuple(r) for r in rows)
 
 
 def test_tableau_is_semistandard():
