@@ -165,8 +165,11 @@ def cmd_scatter(args):
     for state in _each_state(args):
         try:
             report = solitons.run_scattering(state, args.rule, args.max_steps)
-        except (ValueError, solitons.ScatteringBudgetError) as exc:
+        except ValueError as exc:
             raise CliError(str(exc))
+        except solitons.ScatteringBudgetError as exc:
+            found = ", ".join(f"{s.length}@{s.position}" for s in exc.last_solitons)
+            raise CliError(f"{exc} with solitons (length@position) {found}")
         print("in:  " + " ".join(format_affine(x) for x in report.in_labels))
         print("out: " + " ".join(format_affine(x) for x in report.out_labels_simulated))
         print("pred: " + " ".join(format_affine(x) for x in report.out_labels_predicted))

@@ -15,7 +15,7 @@ pass costs O(n) per cell whatever l is.  T_l^-1 is T_l conjugated by the
 mirror that reverses the cells and swaps each letter x < n with n - x.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class State:
@@ -121,8 +121,7 @@ class State:
         return cls(cells, n, origin)
 
 
-@dataclass(frozen=True)
-class CarrierTrace:
+class CarrierTrace(NamedTuple):
     """One carrier sweep: transformed cells and local h values."""
 
     out_state: State
@@ -130,8 +129,13 @@ class CarrierTrace:
 
 
 def _check_capacity(l):
-    if not isinstance(l, int) or l < 1:
+    if type(l) is not int or l < 1:
         raise ValueError(f"carrier capacity must be an integer >= 1, got {l!r}")
+
+
+def _check_steps(steps):
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
 
 
 def _sweep(cells, n, l):
@@ -216,8 +220,7 @@ def trajectory(p, capacity=None, steps=1):
     """
     if capacity is not None:
         _check_capacity(capacity)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps!r}")
+    _check_steps(steps)
     traces = []
     state = p
     for _ in range(steps):
@@ -249,8 +252,7 @@ def evolve_inverse(p, l, steps=1):
     """
     if l is not None:
         _check_capacity(l)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps!r}")
+    _check_steps(steps)
     state = p
     for _ in range(steps):
         n = state.n
@@ -260,8 +262,7 @@ def evolve_inverse(p, l, steps=1):
     return state
 
 
-@dataclass(frozen=True)
-class EnergySpectrum:
+class EnergySpectrum(NamedTuple):
     """E_l for l = 0..top and the soliton counts N_l = -E_{l-1} + 2E_l - E_{l+1}."""
 
     e_values: dict

@@ -18,7 +18,6 @@ z^d b carry an integer exponent d that the R-matrix shifts by +-H.
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,8 +36,7 @@ def format_affine(x):
     return f"z^{{{x.d}}}({word})"
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(NamedTuple):
     """Result of connecting every right-column letter to a left-column letter.
 
     pairs holds (right letter, left letter, winding flag) in the order the
@@ -141,8 +139,7 @@ def apply_r(x, y, n=None):
     return Affine(y.d + h, c1), Affine(x.d - h, c2)
 
 
-@dataclass(frozen=True)
-class YangBaxterReport:
+class YangBaxterReport(NamedTuple):
     ok: bool
     cases: int
     counterexample: tuple = None

@@ -10,7 +10,7 @@ shorter length, and multi-body scattering factorizes into such swaps.
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import State, evolve, spectrum
 from .rmatrix import Affine, iso_with_energy
@@ -44,8 +44,7 @@ class ScatteringBudgetError(RuntimeError):
         self.last_solitons = last_solitons
 
 
-@dataclass(frozen=True)
-class Soliton:
+class Soliton(NamedTuple):
     """A localized excitation: content as read left to right, plus position and time."""
 
     length: int
@@ -140,8 +139,7 @@ def predict_m_body(labels, order=None):
     return tuple(labels)
 
 
-@dataclass(frozen=True)
-class ScatteringReport:
+class ScatteringReport(NamedTuple):
     in_labels: tuple
     out_labels_simulated: tuple
     out_labels_predicted: tuple

@@ -7,13 +7,12 @@ contributes epsilon_i minus signs followed by phi_i plus signs, adjacent
 rightmost surviving "-" (for e_i) or the leftmost surviving "+" (for f_i).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import crystal
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """A word of '+'/'-' signs, each tagged with the 0-based factor it came from."""
 
     signs: tuple

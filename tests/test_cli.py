@@ -269,6 +269,21 @@ def test_scatter_reports_failed_hypothesis(monkeypatch, capsys):
     assert "exceed" in err
 
 
+def test_scatter_budget_error_names_the_solitons(monkeypatch, capsys):
+    # the last decomposable snapshot's solitons, length@position, close the one error line
+    code, out, err = run_cli(
+        ["scatter", "--n", "4", "--max-steps", "2"],
+        stdin="332....11...2.....\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: no separated reordered state within 2 steps; last decomposable snapshot at t=2"
+        " with solitons (length@position) 3@6, 2@11, 1@14\n"
+    )
+
+
 def test_tableau_command(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["tableau", "--n", "4"],

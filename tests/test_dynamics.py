@@ -284,12 +284,21 @@ def test_capacity_validation():
         trajectory(p, 2, -1)
     # a negative step count is an error for the inverse too, not a no-op
     for step in (evolve, evolve_inverse):
-        with pytest.raises(ValueError, match="^steps must be >= 0, got -2$"):
+        with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -2$"):
             step(p, 3, -2)
-        with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -1$"):
             step(p, None, -1)
     assert evolve_inverse(p, 3, 0) == p
     # the capacity is checked before the first step, zero steps included
     for step, capacity in ((evolve, 0), (trajectory, -1), (evolve, 2.5), (evolve_inverse, 0)):
         with pytest.raises(ValueError, match=f"^carrier capacity must be an integer >= 1, got {capacity}$"):
             step(p, capacity, 0)
+    # a bool is not a capacity: True would otherwise run T_1
+    for step in (carrier_pass, energy, evolve, evolve_inverse, trajectory):
+        with pytest.raises(ValueError, match="^carrier capacity must be an integer >= 1, got True$"):
+            step(p, True)
+    # nor a step count, and a float or a string fails with the same message, not a raw TypeError
+    for step in (evolve, evolve_inverse, trajectory):
+        for steps in (True, 2.5, "2"):
+            with pytest.raises(ValueError, match=f"^steps must be an integer >= 0, got {re.escape(repr(steps))}$"):
+                step(p, 1, steps)
