@@ -97,20 +97,18 @@ def _each_state(args):
 def cmd_evolve(args):
     for state in _each_state(args):
         print(state.to_text())
-        for trace in dynamics.trajectory(state, args.capacity, args.steps):
-            print(trace.out_state.to_text())
+        for cells, hs in dynamics._passes(state.cells, state.n, args.capacity, args.steps):
+            print(State(cells, state.n, state.origin).to_text())
             if args.show_h:
-                print("# H=" + "".join(str(-h) for h in trace.h_values))
-            state = trace.out_state
+                print("# H=" + "".join(str(-h) for h in hs))
     return 0
 
 
 def cmd_inverse(args):
     for state in _each_state(args):
         print(state.to_text())
-        for _ in range(args.steps):
-            state = dynamics.evolve_inverse(state, args.capacity)
-            print(state.to_text())
+        for cells, _ in dynamics._passes(dynamics._mirror(state.cells, state.n), state.n, args.capacity, args.steps):
+            print(dynamics._unmirrored(state, cells).to_text())
     return 0
 
 

@@ -13,6 +13,8 @@ it holds (its load), the other l - load letters being the vacuum n.  Its
 exchange with one cell is the R-matrix B_l (x) B_1 -> B_1 (x) B_l, so a
 pass costs O(n) per cell whatever l is.  T_l^-1 is T_l conjugated by the
 mirror that reverses the cells and swaps each letter x < n with n - x.
+Every multi-step run is a view of one generator of successive passes, which
+counts T's capacity once per run and keeps only the current cells.
 """
 
 from typing import NamedTuple
@@ -133,9 +135,12 @@ def _check_capacity(l):
         raise ValueError(f"carrier capacity must be an integer >= 1, got {l!r}")
 
 
-def _check_steps(steps):
+def _check_run(capacity, steps, name="steps"):
+    """Check a run's capacity (None for T) and step count; `_passes` runs only when iterated."""
+    if capacity is not None:
+        _check_capacity(capacity)
     if type(steps) is not int or steps < 0:
-        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+        raise ValueError(f"{name} must be an integer >= 0, got {steps!r}")
 
 
 def _sweep(cells, n, l):
@@ -201,14 +206,26 @@ def carrier_pass(p, l):
     One h value in {-1, 0} is recorded per processed cell.
     """
     _check_capacity(l)
-    out, hs = _sweep(p.cells, p.n, l)
-    return CarrierTrace(State(out, p.n, p.origin), tuple(hs))
+    return trajectory(p, l)[0]
 
 
 def energy(p, l):
     """The conserved quantity E_l: minus the sum of the carrier h values."""
     _check_capacity(l)
     return -sum(_sweep(p.cells, p.n, l)[1])
+
+
+def _passes(cells, n, l, steps):
+    """Yield the cells and h values after passes 1, 2, ..., steps of T_l.
+
+    l None means T, at capacity max(1, #letters), counted once because
+    every pass conserves the letters.
+    """
+    if l is None:
+        l = max(1, len(cells) - cells.count(n))
+    for _ in range(steps):
+        cells, hs = _sweep(cells, n, l)
+        yield cells, hs
 
 
 def trajectory(p, capacity=None, steps=1):
@@ -218,22 +235,21 @@ def trajectory(p, capacity=None, steps=1):
     capacity max(1, #letters), where T_l has saturated (T_l = T for every
     l >= #letters).
     """
-    if capacity is not None:
-        _check_capacity(capacity)
-    _check_steps(steps)
-    traces = []
-    state = p
-    for _ in range(steps):
-        trace = carrier_pass(state, max(1, state.nonvacuum_count) if capacity is None else capacity)
-        traces.append(trace)
-        state = trace.out_state
-    return traces
+    _check_run(capacity, steps)
+    passes = _passes(p.cells, p.n, capacity, steps)
+    return [CarrierTrace(State(cells, p.n, p.origin), tuple(hs)) for cells, hs in passes]
 
 
 def evolve(p, capacity=None, steps=1):
-    """The state after `steps` applications of T_capacity (T itself when None)."""
-    traces = trajectory(p, capacity, steps)
-    return traces[-1].out_state if traces else p
+    """The state after `steps` applications of T_capacity (T itself when None).
+
+    Only the current cells are kept, so memory does not grow with `steps`.
+    """
+    _check_run(capacity, steps)
+    cells = p.cells
+    for cells, _ in _passes(cells, p.n, capacity, steps):
+        pass
+    return State(cells, p.n, p.origin)
 
 
 def _mirror(cells, n):
@@ -242,24 +258,26 @@ def _mirror(cells, n):
     return tuple([swap[x] for x in reversed(cells)])
 
 
+def _unmirrored(p, cells):
+    """The state after passes that ran on the mirror of p and left `cells`.
+
+    The drained cells land on the left, lowering the origin by their number.
+    """
+    return State._trusted(_mirror(cells, p.n), p.n, p.origin - (len(cells) - len(p.cells)))
+
+
 def evolve_inverse(p, l, steps=1):
     """Undo T_l (T itself when l is None, at capacity max(1, #letters)).
 
-    T_l^-1 = mirror . T_l . mirror, where the mirror reverses the cells and
-    swaps each letter x < n with n - x.  The cells the forward pass appends
-    to drain its carrier land on the left, lowering the origin by their
-    number.
+    T_l^-1 = M T_l M, where the mirror M reverses the cells and swaps each
+    letter x < n with n - x.  So (T_l^-1)^k = M T_l^k M: the run mirrors
+    once at each end, not at every step.
     """
-    if l is not None:
-        _check_capacity(l)
-    _check_steps(steps)
-    state = p
-    for _ in range(steps):
-        n = state.n
-        out, _ = _sweep(_mirror(state.cells, n), n, max(1, state.nonvacuum_count) if l is None else l)
-        drained = len(out) - len(state.cells)
-        state = State._trusted(_mirror(out, n), n, state.origin - drained)
-    return state
+    _check_run(l, steps)
+    cells = _mirror(p.cells, p.n)
+    for cells, _ in _passes(cells, p.n, l, steps):
+        pass
+    return _unmirrored(p, cells)
 
 
 class EnergySpectrum(NamedTuple):

@@ -46,10 +46,6 @@ class Pairing(NamedTuple):
     pairs: tuple
     unpaired: tuple
 
-    @property
-    def winding_count(self):
-        return sum(1 for _, _, w in self.pairs if w)
-
 
 def _pair(b, bp, order=None):
     """The pairing loop: (right letter, left letter, wound) triples and the free left letters.
@@ -112,16 +108,6 @@ def iso_with_energy(b, bp, n=None):
     return (tuple(paired), tuple(sorted(bp + tuple(free)))), h
 
 
-def iso(b, bp, n=None):
-    """The isomorphism B_l (x) B_l' -> B_l' (x) B_l."""
-    return iso_with_energy(b, bp, n)[0]
-
-
-def energy(b, bp, n=None):
-    """The energy H(b (x) bp), normalized to 0 on all-vacuum pairs."""
-    return iso_with_energy(b, bp, n)[1]
-
-
 def iso_single(b, v):
     """Exchange a single letter v with an element b: a view of iso_with_energy(b, (v,)).
 
@@ -134,7 +120,7 @@ def iso_single(b, v):
 
 
 def apply_r(x, y, n=None):
-    """The R-matrix on affinized elements: swap through iso, shift exponents by +-H."""
+    """The R-matrix on affinized elements: swap through iso_with_energy, shift exponents by +-H."""
     (c1, c2), h = iso_with_energy(x.b, y.b, n)
     return Affine(y.d + h, c1), Affine(x.d - h, c2)
 

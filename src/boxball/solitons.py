@@ -12,7 +12,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import NamedTuple
 
-from .dynamics import State, evolve, spectrum
+from .dynamics import State, _check_run, _passes, spectrum
 from .rmatrix import Affine, iso_with_energy
 
 __all__ = [
@@ -170,8 +170,9 @@ def run_scattering(p, rule=None, max_steps=400):
     The census is checked against the energy spectrum once, on the input:
     every T_l conserves it, so a later state decomposes exactly when its runs
     are weakly decreasing with the input's sorted lengths.  A sliding window
-    of three consecutive states evolves each time step once.
+    of three states draws each time step once from one run of passes.
     """
+    _check_run(rule, max_steps, "max_steps")
     sols = detect(p, 0)
     lengths = [s.length for s in sols]
     if any(a <= b for a, b in zip(lengths, lengths[1:])):
@@ -183,11 +184,12 @@ def run_scattering(p, rule=None, max_steps=400):
     tab_in = bump_tableau(p)
 
     want = sorted(lengths)
+    passes = _passes(p.cells, p.n, rule, max_steps + 2)
     window = [(p, sols)]
     last_good = (0, sols)
     for t in range(max_steps + 1):
         while len(window) < 3:
-            state = evolve(window[-1][0], rule, 1)
+            state = State(next(passes)[0], p.n, p.origin)
             window.append((state, _separated(state, t + len(window), want)))
         state, now = window.pop(0)
         if now is not None:

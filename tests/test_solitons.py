@@ -165,8 +165,11 @@ def test_run_scattering_single_soliton():
 
 
 def test_run_scattering_preconditions():
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        run_scattering(State.from_text("..2....33..", 4))
+    # the full message, since predict_m_body's also says "strictly decreasing";
+    # equal lengths are refused too
+    for text, lengths in (("..2....33..", r"\[1, 2\]"), ("33...22....", r"\[2, 2\]")):
+        with pytest.raises(ValueError, match=f"^initial soliton lengths must be strictly decreasing, got {lengths}$"):
+            run_scattering(State.from_text(text, 4))
     with pytest.raises(ValueError, match="exceed"):
         run_scattering(State.from_text("332....11....", 4), rule=2)
     with pytest.raises(ScatteringBudgetError) as exc:
@@ -175,27 +178,43 @@ def test_run_scattering_preconditions():
     assert [(s.position, s.time) for s in exc.value.last_solitons] == [(6, 2), (11, 2), (14, 2)]
 
 
+def test_run_scattering_checks_max_steps():
+    # checked as a step count is, before any work: not a raw TypeError from
+    # range, a budget error at t = 0, or True running as 1
+    p = State.from_text(THREE_SOLITON_ROWS[0], 4)
+    for max_steps in (2.5, -1, True, "3"):
+        with pytest.raises(ValueError, match=f"^max_steps must be an integer >= 0, got {max_steps!r}$"):
+            run_scattering(p, None, max_steps)
+    with pytest.raises(ValueError, match="^carrier capacity must be an integer >= 1, got 0$"):
+        run_scattering(State.from_text("..332..", 4), 0)
+    assert run_scattering(p, None, 6).steps == 6
+
+
 @pytest.mark.parametrize(
     "text,rule",
     [(THREE_SOLITON_ROWS[0], None), (THREE_SOLITON_ROWS[0], 3), ("..332..", None), ("3321......211.....1....", None)],
 )
 def test_run_scattering_computes_census_once(text, rule, monkeypatch):
     # the census is conserved, so one spectrum suffices, and the window of
-    # three states evolves each time step once
+    # three states takes each time step once from a single run of passes
     calls = Counter()
+    spectrum, passes = solitons.spectrum, solitons._passes
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_spectrum(*args):
+        calls["spectrum"] += 1
+        return spectrum(*args)
 
-        return wrapper
+    def counted_passes(*args):
+        calls["run"] += 1
+        for item in passes(*args):
+            calls["pass"] += 1
+            yield item
 
-    monkeypatch.setattr(solitons, "spectrum", counted("spectrum", solitons.spectrum))
-    monkeypatch.setattr(solitons, "evolve", counted("evolve", solitons.evolve))
+    monkeypatch.setattr(solitons, "spectrum", counted_spectrum)
+    monkeypatch.setattr(solitons, "_passes", counted_passes)
     report = run_scattering(State.from_text(text, 4), rule)
     assert report.match
-    assert calls == {"spectrum": 1, "evolve": report.steps + 2}
+    assert calls == {"spectrum": 1, "run": 1, "pass": report.steps + 2}
 
 
 def test_run_scattering_under_finite_rule():
