@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 
 
 def check_color(i, n):
-    if not isinstance(i, int) or not 0 <= i < n:
+    if type(i) is not int or not 0 <= i < n:
         raise ValueError(f"color index must be in 0..{n - 1}, got {i!r}")
 
 

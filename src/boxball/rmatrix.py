@@ -10,9 +10,11 @@ order l < l' follows by duality: with dual(w) the letters of w negated in
 reverse order, R(b (x) b') = (dual c2, dual c1) with the same H, where
 ((c1, c2), H) = R(dual b' (x) dual b).  The single-letter exchange of the
 carrier is a view of the general map.  An independent oracle recomputes
-image and H from the crystal graph alone, by propagating images and H
-steps along e_i/f_i edges from the all-vacuum anchor.  Affinized elements
-z^d b carry an integer exponent d that the R-matrix shifts by +-H.
+image and H from the crystal graph alone, by propagating images along
+e_i/f_i edges from the all-vacuum anchor; H changes only on e_0 edges, by
++1 where e_0 acts on the left factor of both the pair and its image and by
+-1 where it acts on the right factor of both.  Affinized elements z^d b
+carry an integer exponent d that the R-matrix shifts by +-H.
 """
 
 import math
@@ -142,47 +144,33 @@ def yang_baxter_check(l1, l2, l3, n):
     images = {}
 
     def r(x, y):
-        key = (x.b, y.b)
+        """apply_r on (exponent, element) tuples, through the table of images."""
+        key = (x[1], y[1])
         got = images.get(key)
         if got is None:
-            got = images[key] = iso_with_energy(x.b, y.b, n)
+            got = images[key] = iso_with_energy(x[1], y[1], n)
         (c1, c2), h = got
-        return Affine(y.d + h, c1), Affine(x.d - h, c2)
-
-    def r12(t):
-        a, b = r(t[0], t[1])
-        return (a, b, t[2])
-
-    def r23(t):
-        a, b = r(t[1], t[2])
-        return (t[0], a, b)
+        return (y[0] + h, c1), (x[0] - h, c2)
 
     cases = 0
     for b1 in crystal.elements(l1, n):
+        x1 = (0, b1)
         for b2 in crystal.elements(l2, n):
+            x2 = (0, b2)
+            # the first R12 of the left side does not depend on b3
+            u1, u2 = r(x1, x2)
             for b3 in crystal.elements(l3, n):
-                start = (Affine(0, b1), Affine(0, b2), Affine(0, b3))
-                lhs = r12(r23(r12(start)))
-                rhs = r23(r12(r23(start)))
+                x3 = (0, b3)
+                v2, v3 = r(u2, x3)
+                lhs = (*r(u1, v2), v3)
+                w2, w3 = r(x2, x3)
+                p1, p2 = r(x1, w2)
+                rhs = (p1, *r(p2, w3))
                 cases += 1
                 if lhs != rhs:
-                    return YangBaxterReport(False, cases, (start, lhs, rhs))
+                    sides = ((x1, x2, x3), lhs, rhs)
+                    return YangBaxterReport(False, cases, tuple(tuple(Affine(*x) for x in side) for side in sides))
     return YangBaxterReport(True, cases)
-
-
-def _h_step(x, image, n):
-    """H increment across the e_0 edge out of x.
-
-    +1 when e_0 acts on the left factor of both x and its image, -1 when it
-    acts on the right factor of both, 0 otherwise.
-    """
-    left_in = crystal.phi(x[0], 0, n) >= crystal.epsilon(x[1], 0, n)
-    left_img = crystal.phi(image[0], 0, n) >= crystal.epsilon(image[1], 0, n)
-    if left_in and left_img:
-        return 1
-    if not left_in and not left_img:
-        return -1
-    return 0
 
 
 @lru_cache(maxsize=None)
@@ -190,8 +178,11 @@ def oracle_table(l1, l2, n):
     """Image and H for all of B_l1 (x) B_l2, from the crystal graph alone.
 
     Breadth-first search from the all-vacuum pair: images follow the same
-    e_i/f_i word applied on the swapped side, and H accumulates the color-0
-    step rule along the path.  Independent of the pairing algorithm.
+    e_i/f_i word applied on the swapped side, and H steps along e_0 edges
+    by where e_0 acts: +1 on the left factor of both a pair and its image,
+    -1 on the right factor of both, 0 otherwise.  An f_0 edge steps by minus
+    the rule on the e_0 edge back, which acts on the same factors.
+    Independent of the pairing algorithm.
     """
     start = ((n,) * l1, (n,) * l2)
     known = {start: (((n,) * l2, (n,) * l1), 0)}
@@ -200,20 +191,23 @@ def oracle_table(l1, l2, n):
         x = queue.popleft()
         image, h = known[x]
         for i in range(n):
-            for op, raising in ((tensor.tensor_e, True), (tensor.tensor_f, False)):
-                y = op(x, i, n)
-                if y is None or y in known:
+            targets = tensor._targets(x, i, n)
+            image_targets = None
+            for side, apply, sign in ((0, crystal.apply_e, 1), (1, crystal.apply_f, -1)):
+                j = targets[side]
+                if j is None:
                     continue
-                img_y = op(image, i, n)
-                if img_y is None:
+                y = (apply(x[0], i, n), x[1]) if j == 0 else (x[0], apply(x[1], i, n))
+                if y in known:
+                    continue
+                if image_targets is None:
+                    image_targets = tensor._targets(image, i, n)
+                k = image_targets[side]
+                if k is None:
                     raise RuntimeError(f"operator path broke at {x!r} color {i}; sides not isomorphic")
-                if i != 0:
-                    h_y = h
-                elif raising:
-                    h_y = h + _h_step(x, image, n)
-                else:
-                    h_y = h - _h_step(y, img_y, n)
-                known[y] = (img_y, h_y)
+                img_y = (apply(image[0], i, n), image[1]) if k == 0 else (image[0], apply(image[1], i, n))
+                step = 1 - 2 * j if i == 0 and j == k else 0
+                known[y] = (img_y, h + sign * step)
                 queue.append(y)
     expected = math.comb(l1 + n - 1, n - 1) * math.comb(l2 + n - 1, n - 1)
     if len(known) != expected:

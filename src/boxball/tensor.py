@@ -5,6 +5,8 @@ different lengths).  e_i / f_i act through the i-signature: each factor
 contributes epsilon_i minus signs followed by phi_i plus signs, adjacent
 "+-" pairs cancel, and the operator acts on the factor owning the
 rightmost surviving "-" (for e_i) or the leftmost surviving "+" (for f_i).
+`signature`/`reduce_signature` spell the signs out; the operators reduce
+from the per-factor counts alone and never build the sign list.
 """
 
 from typing import NamedTuple
@@ -56,34 +58,56 @@ def reduce_signature(sig):
     return Signature(signs, tuple(minus) + tuple(plus))
 
 
+def _targets(t, i, n):
+    """The factors e_i and f_i act on, as (e factor, f factor), None where undefined.
+
+    The signature rule on sign counts: a factor's epsilon_i minuses cancel
+    the latest pending pluses, and a minus left over survives for good, so
+    e_i acts on the last factor with a surviving minus; its phi_i pluses then
+    wait, and f_i acts on the first factor with a plus still waiting.
+    """
+    crystal.check_color(i, n)
+    minus = i + 1
+    plus = n if i == 0 else i
+    e = None
+    owners = []
+    waiting = []
+    for j, b in enumerate(t):
+        m = b.count(minus)
+        while m and waiting:
+            if waiting[-1] > m:
+                waiting[-1] -= m
+                m = 0
+            else:
+                m -= waiting.pop()
+                owners.pop()
+        if m:
+            e = j
+        p = b.count(plus)
+        if p:
+            owners.append(j)
+            waiting.append(p)
+    return e, owners[0] if owners else None
+
+
 def tensor_e(t, i, n):
     """e_i on a tensor element via the signature rule; None if undefined."""
     if t is None:
         return None
-    red = reduce_signature(signature(t, i, n))
-    alpha = red.signs.count("-")
-    if alpha == 0:
+    j = _targets(t, i, n)[0]
+    if j is None:
         return None
-    j = red.origins[alpha - 1]
-    new = crystal.apply_e(t[j], i, n)
-    if new is None:
-        raise RuntimeError(f"signature rule pointed e_{i} at a dead factor of {t!r}")
-    return t[:j] + (new,) + t[j + 1 :]
+    return t[:j] + (crystal.apply_e(t[j], i, n),) + t[j + 1 :]
 
 
 def tensor_f(t, i, n):
     """f_i on a tensor element via the signature rule; None if undefined."""
     if t is None:
         return None
-    red = reduce_signature(signature(t, i, n))
-    alpha = red.signs.count("-")
-    if alpha == len(red.signs):
+    j = _targets(t, i, n)[1]
+    if j is None:
         return None
-    j = red.origins[alpha]
-    new = crystal.apply_f(t[j], i, n)
-    if new is None:
-        raise RuntimeError(f"signature rule pointed f_{i} at a dead factor of {t!r}")
-    return t[:j] + (new,) + t[j + 1 :]
+    return t[:j] + (crystal.apply_f(t[j], i, n),) + t[j + 1 :]
 
 
 def format_tensor(t, n):

@@ -1,7 +1,9 @@
-"""Shared fixtures: golden displays, seeded random-state builders and a broken R-matrix."""
+"""Shared fixtures: golden displays, seeded random-state builders, a broken R-matrix
+and the sign-list tensor operators."""
 
 import random
 
+from boxball import crystal, tensor
 from boxball.dynamics import State
 from boxball.rmatrix import iso_with_energy
 from boxball.solitons import state_with_solitons
@@ -76,3 +78,29 @@ def broken_r(b, bp, n=None):
     """
     image, h = iso_with_energy(b, bp, n)
     return image, h - (b[0] == 1)
+
+
+def reference_tensor_e(t, i, n):
+    """e_i through the spelled-out reduced signature: the rightmost surviving "-"."""
+    red = tensor.reduce_signature(tensor.signature(t, i, n))
+    alpha = red.signs.count("-")
+    if alpha == 0:
+        return None
+    j = red.origins[alpha - 1]
+    new = crystal.apply_e(t[j], i, n)
+    if new is None:
+        raise RuntimeError(f"signature rule pointed e_{i} at a dead factor of {t!r}")
+    return t[:j] + (new,) + t[j + 1 :]
+
+
+def reference_tensor_f(t, i, n):
+    """f_i through the spelled-out reduced signature: the leftmost surviving "+"."""
+    red = tensor.reduce_signature(tensor.signature(t, i, n))
+    alpha = red.signs.count("-")
+    if alpha == len(red.signs):
+        return None
+    j = red.origins[alpha]
+    new = crystal.apply_f(t[j], i, n)
+    if new is None:
+        raise RuntimeError(f"signature rule pointed f_{i} at a dead factor of {t!r}")
+    return t[:j] + (new,) + t[j + 1 :]

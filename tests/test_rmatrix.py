@@ -213,6 +213,8 @@ def test_yang_baxter_reports_a_counterexample(monkeypatch):
     start, lhs, rhs = report.counterexample
     assert start == (Affine(0, (1, 1)), Affine(0, (2,)), Affine(0, (1,)))
     assert lhs != rhs
+    # a plain (d, b) tuple compares equal to an Affine, so check the type
+    assert all(type(x) is Affine for side in report.counterexample for x in side)
 
 
 def test_oracle_examples():
@@ -227,6 +229,55 @@ def test_oracle_matches_pairing():
     for n, l1, l2 in sizes:
         for (b, bp), expected in oracle_table(l1, l2, n).items():
             assert iso_with_energy(b, bp, n) == expected
+
+
+def test_oracle_reads_only_the_crystal_graph(monkeypatch):
+    sizes = [(2, 3, 3), (3, 2, 4)]
+    expected = {size: dict(oracle_table(*size)) for size in sizes}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the pairing rule")
+
+    monkeypatch.setattr(rmatrix, "_pair", refuse)
+    monkeypatch.setattr(rmatrix, "iso_with_energy", refuse)
+    oracle_table.cache_clear()
+    try:
+        for size in sizes:
+            assert oracle_table(*size) == expected[size]
+    finally:
+        oracle_table.cache_clear()
+
+
+def test_local_axioms_at_large_sizes():
+    # B_l (x) B_l' is connected as an affine crystal, so these axioms fix R
+    # and H; the checks need only the signature rule, never the pairing rule
+    rng = random.Random(17)
+    word = lambda l, n: tuple(sorted(rng.randint(1, n) for _ in range(l)))
+    for _ in range(2000):
+        n = rng.randint(2, 12)
+        l1, l2 = rng.randint(1, 30), rng.randint(1, 30)
+        for k in range(1, n + 1):
+            assert iso_with_energy((k,) * l1, (k,) * l2) == (((k,) * l2, (k,) * l1), 0)
+        x = (word(l1, n), word(l2, n))
+        image, h = iso_with_energy(*x)
+        for i in range(n):
+            for op, sign in ((tensor.tensor_e, 1), (tensor.tensor_f, -1)):
+                y = op(x, i, n)
+                image_y = op(image, i, n)
+                if y is None:
+                    assert image_y is None
+                    continue
+                image_moved, h_y = iso_with_energy(*y)
+                assert image_y == image_moved
+                if i:
+                    assert h_y == h
+                    continue
+                # e_0 steps H by +1 when it acts on the left factor of both the
+                # pair and its image, by -1 on the right factor of both; f_0
+                # undoes the e_0 edge back, which acts on the same factors
+                left, left_image = y[0] != x[0], image_y[0] != image[0]
+                step = (1 if left else -1) if left == left_image else 0
+                assert h_y == h + sign * step
 
 
 @st.composite

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxball import crystal, tensor
+from helpers import reference_tensor_e, reference_tensor_f
 
 
 THREE_FACTOR = ((1, 2, 2, 3), (1, 1, 2), (2, 4))
@@ -127,6 +130,44 @@ def test_signature_counts_match_iteration():
                 while (cur := tensor.tensor_f(cur, i, n)) is not None:
                     m += 1
                 assert m == reduced.count("+")
+
+
+@st.composite
+def tensors(draw):
+    n = draw(st.integers(2, 12))
+    word = st.lists(st.integers(1, n), min_size=1, max_size=8).map(lambda w: tuple(sorted(w)))
+    return tuple(draw(st.lists(word, min_size=1, max_size=5))), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensors())
+def test_count_rule_matches_sign_list_reference(case):
+    # the sign-list reference raises if the rule ever points at a factor the
+    # operator cannot change; the count rule then equals it
+    t, n = case
+    for i in range(n):
+        up = tensor.tensor_e(t, i, n)
+        assert up == reference_tensor_e(t, i, n)
+        assert tensor.tensor_f(t, i, n) == reference_tensor_f(t, i, n)
+        if up is not None:
+            assert tensor.tensor_f(up, i, n) == t
+
+
+@pytest.mark.parametrize("color", [True, False])
+def test_bool_color_is_refused(color):
+    b, t = (1, 2, 2), ((1,), (1,))
+    calls = [
+        (crystal.apply_e, b),
+        (crystal.apply_f, b),
+        (crystal.epsilon, b),
+        (crystal.phi, b),
+        (tensor.signature, t),
+        (tensor.tensor_e, t),
+        (tensor.tensor_f, t),
+    ]
+    for fn, arg in calls:
+        with pytest.raises(ValueError, match=rf"^color index must be in 0\.\.2, got {color}$"):
+            fn(arg, color, 3)
 
 
 def test_null_propagates():
