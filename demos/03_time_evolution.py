@@ -1,8 +1,10 @@
 """Carrier dynamics: evolve states, then read off the conserved quantities.
 
-A capacity-l carrier sweeps each state left to right; the recorded local
-H values sum to E_l, which every other evolution preserves, and whose
-second differences count solitons by length.
+A capacity-l carrier sweeps each state left to right.  An exchange has
+h = -1 where the letter the carrier hands back is below the letter it
+takes in, so the h values are read off the cells before and after the
+sweep.  Minus their sum is E_l, which every other evolution preserves, and
+whose second differences count solitons by length.
 """
 
 from boxball.dynamics import State, energy, evolve, evolve_inverse, spectrum, trajectory

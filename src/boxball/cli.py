@@ -97,17 +97,19 @@ def _each_state(args):
 def cmd_evolve(args):
     for state in _each_state(args):
         print(state.to_text())
-        for cells, hs in dynamics._passes(state.cells, state.n, args.capacity, args.steps):
+        before = state.cells
+        for cells in dynamics._passes(before, state.n, args.capacity, args.steps):
             print(State(cells, state.n, state.origin).to_text())
             if args.show_h:
-                print("# H=" + "".join(str(-h) for h in hs))
+                print("# H=" + "".join(str(-h) for h in dynamics._h_values(before, cells)))
+            before = cells
     return 0
 
 
 def cmd_inverse(args):
     for state in _each_state(args):
         print(state.to_text())
-        for cells, _ in dynamics._passes(dynamics._mirror(state.cells, state.n), state.n, args.capacity, args.steps):
+        for cells in dynamics._passes(dynamics._mirror(state.cells, state.n), state.n, args.capacity, args.steps):
             print(dynamics._unmirrored(state, cells).to_text())
     return 0
 

@@ -3,9 +3,11 @@
 A state is a finite window of letters in {1..n}, conceptually padded by
 the vacuum letter n on both sides.  The time evolution T_l threads a
 capacity-l carrier through the cells left to right, and the full
-evolution T is T_l at l = #letters, where T_l saturates; the recorded
-local h values sum to the conserved quantities E_l, and their second
-differences count solitons by length.  E_l stops changing past the
+evolution T is T_l at l = #letters, where T_l saturates.  A pass returns
+only the letters it emits: its exchange with a cell has h = -1 where the
+letter out is below the letter in, the drained cells taking in the vacuum
+n, and h = 0 elsewhere.  Minus the sum of h is the conserved E_l, whose
+second differences count solitons by length.  E_l stops changing past the
 longest soliton, so the spectrum sweeps l only until it does.
 
 The carrier is an element of B_l stored as counts of the letters 1..n-1
@@ -17,6 +19,7 @@ Every multi-step run is a view of one generator of successive passes, which
 counts T's capacity once per run and keeps only the current cells.
 """
 
+from operator import gt
 from typing import NamedTuple
 
 
@@ -146,26 +149,22 @@ def _check_run(capacity, steps, name="steps"):
 def _sweep(cells, n, l):
     """Thread a capacity-l carrier through `cells` and drain it on the right.
 
-    Returns the emitted letters and the h value of each exchange.  A cell v
-    meets the carrier as follows: if it holds a letter below v, the largest
-    such letter leaves and v joins (h = -1); otherwise, below capacity, v
-    joins and a vacuum leaves (h = 0); otherwise the largest held letter
-    leaves and v joins (h = 0).  A vacuum cell never joins, so the drain
-    over appended vacuum cells emits the held letters largest first, one
-    per cell, each with h = -1.
+    Returns the emitted letters, one per cell.  A cell v meets the carrier
+    as follows: if it holds a letter below v, the largest such letter
+    leaves and v joins; otherwise, below capacity, v joins and a vacuum
+    leaves; otherwise the largest held letter leaves and v joins.  A vacuum
+    cell never joins, so the drain over appended vacuum cells emits the
+    held letters largest first, one per cell.
     """
     held = [0] * n  # held[x] counts the letter x in 1..n-1; held[0] stays 0
     load = 0
     out = []
-    hs = []
     emit = out.append
-    record = hs.append
     for v in cells:
         if not load:
             if v != n:
                 held[v] = load = 1
             emit(n)
-            record(0)
             continue
         x = v - 1
         while x and not held[x]:
@@ -177,12 +176,10 @@ def _sweep(cells, n, l):
             else:
                 held[v] += 1
             emit(x)
-            record(-1)
         elif load < l:
             held[v] += 1
             load += 1
             emit(n)
-            record(0)
         else:
             x = n - 1
             while not held[x]:
@@ -190,11 +187,14 @@ def _sweep(cells, n, l):
             held[x] -= 1
             held[v] += 1
             emit(x)
-            record(0)
     for x in range(n - 1, 0, -1):
         out += [x] * held[x]
-    hs += [-1] * load
-    return out, hs
+    return out
+
+
+def _h_values(cells, out):
+    """The h of each exchange of the pass from `cells` to `out`, by the rule above."""
+    return tuple([-d for d in map(gt, cells, out)]) + (-1,) * (len(out) - len(cells))
 
 
 def carrier_pass(p, l):
@@ -203,20 +203,21 @@ def carrier_pass(p, l):
     The carrier starts as all vacuum; one vacuum cell is appended on the
     right per letter it still holds after the last cell, which drains it
     back to all vacuum, so the trace always covers the full interaction.
-    One h value in {-1, 0} is recorded per processed cell.
+    Each output cell has one h value in {-1, 0}, read by `_h_values`.
     """
     _check_capacity(l)
     return trajectory(p, l)[0]
 
 
 def energy(p, l):
-    """The conserved quantity E_l: minus the sum of the carrier h values."""
+    """The conserved quantity E_l: minus the sum of `_h_values`, counted without building them."""
     _check_capacity(l)
-    return -sum(_sweep(p.cells, p.n, l)[1])
+    out = _sweep(p.cells, p.n, l)
+    return len(out) - len(p.cells) + sum(map(gt, p.cells, out))
 
 
 def _passes(cells, n, l, steps):
-    """Yield the cells and h values after passes 1, 2, ..., steps of T_l.
+    """Yield the cells after passes 1, 2, ..., steps of T_l.
 
     l None means T, at capacity max(1, #letters), counted once because
     every pass conserves the letters.
@@ -224,8 +225,8 @@ def _passes(cells, n, l, steps):
     if l is None:
         l = max(1, len(cells) - cells.count(n))
     for _ in range(steps):
-        cells, hs = _sweep(cells, n, l)
-        yield cells, hs
+        cells = _sweep(cells, n, l)
+        yield cells
 
 
 def trajectory(p, capacity=None, steps=1):
@@ -236,8 +237,11 @@ def trajectory(p, capacity=None, steps=1):
     l >= #letters).
     """
     _check_run(capacity, steps)
-    passes = _passes(p.cells, p.n, capacity, steps)
-    return [CarrierTrace(State(cells, p.n, p.origin), tuple(hs)) for cells, hs in passes]
+    passes = list(_passes(p.cells, p.n, capacity, steps))
+    return [
+        CarrierTrace(State(cells, p.n, p.origin), _h_values(before, cells))
+        for before, cells in zip([p.cells, *passes], passes)
+    ]
 
 
 def evolve(p, capacity=None, steps=1):
@@ -247,7 +251,7 @@ def evolve(p, capacity=None, steps=1):
     """
     _check_run(capacity, steps)
     cells = p.cells
-    for cells, _ in _passes(cells, p.n, capacity, steps):
+    for cells in _passes(cells, p.n, capacity, steps):
         pass
     return State(cells, p.n, p.origin)
 
@@ -275,7 +279,7 @@ def evolve_inverse(p, l, steps=1):
     """
     _check_run(l, steps)
     cells = _mirror(p.cells, p.n)
-    for cells, _ in _passes(cells, p.n, l, steps):
+    for cells in _passes(cells, p.n, l, steps):
         pass
     return _unmirrored(p, cells)
 

@@ -49,15 +49,11 @@ class Pairing(NamedTuple):
     unpaired: tuple
 
 
-def _pair(b, bp, order=None):
-    """The pairing loop: (right letter, left letter, wound) triples and the free left letters.
-
-    Needs len(b) >= len(bp).  The right letters are taken in `order`, a
-    sequence of indices into bp, or largest first when it is None.
-    """
+def _pair(b, bp):
+    """`pair`'s loop, for len(b) >= len(bp): (right letter, left letter, wound) triples and the free left letters."""
     free = list(b)
     pairs = []
-    for v in reversed(bp) if order is None else [bp[k] for k in order]:
+    for v in reversed(bp):
         j = bisect_left(free, v) - 1
         if j >= 0:
             pairs.append((v, free.pop(j), False))
@@ -66,22 +62,18 @@ def _pair(b, bp, order=None):
     return pairs, free
 
 
-def pair(b, bp, order=None):
+def pair(b, bp):
     """Pair the letters of bp (right column) with letters of b (left column).
 
-    Requires len(b) >= len(bp).  Each right letter v takes the largest still
-    available left letter strictly below v; if there is none the line wraps
-    around the bottom ("winding") and takes the largest available letter
-    overall.  The processing order of the right letters defaults to largest
-    first; the pairing summary does not depend on it (property-tested).
+    Requires len(b) >= len(bp).  Each right letter v, largest first, takes
+    the largest still available left letter strictly below v; if there is
+    none the line wraps around the bottom ("winding") and takes the largest
+    available letter overall.  The pairing summary does not depend on the
+    order the right letters are taken in (property-tested).
     """
     if len(b) < len(bp):
         raise ValueError(f"left factor must be at least as long as the right one, got {len(b)} < {len(bp)}")
-    if order is not None:
-        order = list(order)
-        if sorted(order) != list(range(len(bp))):
-            raise ValueError(f"order must be a permutation of 0..{len(bp) - 1}, got {order!r}")
-    pairs, free = _pair(b, bp, order)
+    pairs, free = _pair(b, bp)
     return Pairing(tuple(pairs), tuple(free))
 
 

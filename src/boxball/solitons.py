@@ -189,7 +189,7 @@ def run_scattering(p, rule=None, max_steps=400):
     last_good = (0, sols)
     for t in range(max_steps + 1):
         while len(window) < 3:
-            state = State(next(passes)[0], p.n, p.origin)
+            state = State(next(passes), p.n, p.origin)
             window.append((state, _separated(state, t + len(window), want)))
         state, now = window.pop(0)
         if now is not None:

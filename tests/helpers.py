@@ -1,11 +1,12 @@
-"""Shared fixtures: golden displays, seeded random-state builders, a broken R-matrix
-and the sign-list tensor operators."""
+"""Shared fixtures: golden displays, seeded random-state builders, a broken R-matrix,
+the sign-list tensor operators, the pairing in any order and the ball-moving rule."""
 
 import random
+from bisect import bisect_left
 
 from boxball import crystal, tensor
 from boxball.dynamics import State
-from boxball.rmatrix import iso_with_energy
+from boxball.rmatrix import Pairing, iso_with_energy
 from boxball.solitons import state_with_solitons
 
 # Three solitons of lengths 3, 2, 1 scattering over seven time steps.
@@ -104,3 +105,42 @@ def reference_tensor_f(t, i, n):
     if new is None:
         raise RuntimeError(f"signature rule pointed f_{i} at a dead factor of {t!r}")
     return t[:j] + (new,) + t[j + 1 :]
+
+
+def pair_in_order(b, bp, order):
+    """The pairing of `rmatrix.pair`, taking the right letters in `order` (indices into bp), not largest first."""
+    free = list(b)
+    pairs = []
+    for v in (bp[k] for k in order):
+        j = bisect_left(free, v) - 1
+        pairs.append((v, free.pop(j), False) if j >= 0 else (v, free.pop(), True))
+    return Pairing(tuple(pairs), tuple(free))
+
+
+def _move_balls(p, colors, step):
+    """Move the balls of each color in `colors` in turn, each to the nearest empty cell `step` away.
+
+    Within one color the ball furthest behind moves first, and each ball
+    moves once.  Returns the trimmed state.
+    """
+    balls = {p.origin + k: x for k, x in enumerate(p.cells) if x != p.n}
+    for color in colors:
+        for i in sorted((k for k, x in balls.items() if x == color), reverse=step < 0):
+            j = i + step
+            while j in balls:
+                j += step
+            balls[j] = balls.pop(i)
+    if not balls:
+        return State((), p.n)
+    lo, hi = min(balls), max(balls)
+    return State([balls.get(k, p.n) for k in range(lo, hi + 1)], p.n, lo)
+
+
+def ball_moving_step(p):
+    """T by Takahashi's ball-moving rule, trimmed: colors n-1 down to 1, leftmost ball first, each to the right."""
+    return _move_balls(p, range(p.n - 1, 0, -1), 1)
+
+
+def ball_moving_inverse(p):
+    """T^-1 by the mirrored rule, trimmed: colors 1 up to n-1, rightmost ball first, each to the left."""
+    return _move_balls(p, range(1, p.n), -1)

@@ -5,13 +5,14 @@ stored as a sorted tuple of length l, appending vacuum cells until the
 carrier drains: one exchange per cell at O(l) each.  The forward pass
 exchanges through `iso_single`, the inverse through the general map with
 the letter on the left, `iso_with_energy((v,), carrier)`.  The library's
-sweep must agree with them letter for letter.
+sweep must agree with them letter for letter, and the h values and E_l it
+reads off the cells in and out must equal the R-matrix's.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxball.dynamics import State, carrier_pass, evolve, evolve_inverse
+from boxball.dynamics import State, carrier_pass, energy, evolve, evolve_inverse
 from boxball.rmatrix import iso_single, iso_with_energy
 from helpers import acceptance_ensemble
 
@@ -62,6 +63,7 @@ def assert_matches_reference(p, l):
     out, hs, final, load = reference_pass(p, l)
     assert trace.out_state == out
     assert trace.h_values == hs
+    assert energy(p, l) == -sum(hs)
     assert final == (p.n,) * l
     # closed-form drain: one appended vacuum cell per letter still held
     assert len(trace.out_state.cells) - len(p.cells) == load
@@ -69,10 +71,15 @@ def assert_matches_reference(p, l):
     assert evolve_inverse(p, l, 2) == reference_inverse(reference_inverse(p, l), l)
 
 
+def capacities(p):
+    """l = 1..5, #letters and #letters + 1."""
+    k = p.nonvacuum_count
+    return sorted({1, 2, 3, 4, 5, max(1, k), k + 1})
+
+
 def test_carrier_matches_tuple_reference_on_ensemble():
     for p in acceptance_ensemble():
-        k = p.nonvacuum_count
-        for l in sorted({1, 2, 3, 4, 5, max(1, k), k + 1}):
+        for l in capacities(p):
             assert_matches_reference(p, l)
 
 
@@ -88,6 +95,8 @@ def states(draw, n_min=2, n_max=12, max_cells=25):
 def test_carrier_matches_tuple_reference(p, data):
     l = data.draw(st.integers(1, p.nonvacuum_count + 2))
     assert_matches_reference(p, l)
+    for cap in capacities(p):
+        assert energy(p, cap) == -sum(reference_pass(p, cap)[1])
     # the comma text form (n > 9) carries the output too
     out = carrier_pass(p, l).out_state
     assert State.from_text(out.to_text(), p.n) == out

@@ -55,6 +55,15 @@ def test_evolve_show_h(monkeypatch, capsys):
     )
     assert code == 0
     assert out.splitlines() == ["332", "...332", "# H=000111"]
+    # each H line reads the step's own cells before and after
+    code, out, _ = run_cli(
+        ["evolve", "--n", "4", "--steps", "2", "--show-h"],
+        stdin="332...11...2\n",
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == ["332...11...2", "...332..11..2", "# H=0001110011001", "......33..2112", "# H=00000011001111"]
 
 
 def test_evolve_output_reparses(monkeypatch, capsys):

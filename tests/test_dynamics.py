@@ -14,7 +14,16 @@ from boxball.dynamics import (
     spectrum,
     trajectory,
 )
-from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, acceptance_ensemble, letters, random_state, seeded
+from helpers import (
+    SINGLE_SOLITON_ROWS,
+    THREE_SOLITON_ROWS,
+    acceptance_ensemble,
+    ball_moving_inverse,
+    ball_moving_step,
+    letters,
+    random_state,
+    seeded,
+)
 
 
 def test_state_text_round_trip():
@@ -273,6 +282,14 @@ def test_multistep_evolution():
     a = evolve(evolve(p, 2, 1), 3, 1)
     b = evolve(evolve(p, 3, 1), 2, 1)
     assert a.trim() == b.trim()
+
+
+@settings(max_examples=300, deadline=None)
+@given(states(max_cells=40, max_n=8, max_origin=5))
+def test_full_evolution_matches_ball_moving_rule(p):
+    # Takahashi's rule moves balls, not a carrier: no R-matrix and no h
+    assert evolve(p, None).trim() == ball_moving_step(p)
+    assert evolve_inverse(p, None).trim() == ball_moving_inverse(p)
 
 
 @st.composite

@@ -18,7 +18,7 @@ from boxball.rmatrix import (
     pair,
     yang_baxter_check,
 )
-from helpers import broken_r
+from helpers import broken_r, pair_in_order
 
 
 def iso(b, bp, n=None):
@@ -67,11 +67,13 @@ def test_pairing_summary_is_order_independent():
         b = tuple(sorted(rng.randint(1, n) for _ in range(l1)))
         bp = tuple(sorted(rng.randint(1, n) for _ in range(l2)))
         base = pair(b, bp)
+        # pair takes the right letters largest first
+        assert pair_in_order(b, bp, range(l2 - 1, -1, -1)) == base
         summary = (winding_count(base), tuple(sorted(x for _, x, _ in base.pairs)), base.unpaired)
         for _ in range(4):
             order = list(range(l2))
             rng.shuffle(order)
-            q = pair(b, bp, order=order)
+            q = pair_in_order(b, bp, order)
             assert (winding_count(q), tuple(sorted(x for _, x, _ in q.pairs)), q.unpaired) == summary
         # iso_with_energy runs the same pairing as its own loop
         image = (summary[1], tuple(sorted(bp + base.unpaired)))
