@@ -126,7 +126,7 @@ def cmd_energy(args):
 
 
 def cmd_rmatrix(args):
-    inputs = [("pair", args.pair)] if args.pair else [(f"line {i}", line) for i, line in _read_lines(args)]
+    inputs = [("pair", args.pair)] if args.pair is not None else [(f"line {i}", line) for i, line in _read_lines(args)]
     for where, text in inputs:
         try:
             t = parse_tensor(text, args.n)

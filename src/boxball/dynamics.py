@@ -23,7 +23,7 @@ from operator import gt
 from typing import NamedTuple
 
 
-class State:
+class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin", int)])):
     """Cells of a box-ball configuration with an absolute origin offset.
 
     Cells are stored as a tuple; positions are counted from ``origin`` so
@@ -31,11 +31,15 @@ class State:
     Text form uses '.' for the vacuum letter and digits for the rest, one
     character per cell for n <= 9 and comma-separated cells otherwise, with
     an optional "@k " prefix carrying a nonzero origin.
+
+    A state is the named tuple (cells, n, origin).  Construction,
+    ``from_text``, ``_replace``, unpickling at any protocol and copying check
+    every letter; the states the library derives from a checked one do not.
     """
 
-    __slots__ = ("n", "origin", "cells")
+    __slots__ = ()
 
-    def __init__(self, cells, n, origin=0):
+    def __new__(cls, cells, n, origin=0):
         if not isinstance(n, int) or n < 2:
             raise ValueError(f"alphabet size must be an integer >= 2, got {n!r}")
         if type(origin) is not int:
@@ -44,9 +48,7 @@ class State:
         for x in cells:
             if type(x) is not int or not 1 <= x <= n:
                 raise ValueError(f"cell letter {x!r} out of range 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "cells", cells)
+        return cls._trusted(cells, n, origin)
 
     @classmethod
     def _trusted(cls, cells, n, origin):
@@ -55,22 +57,15 @@ class State:
         Only for cells the library derived from a checked state; input from
         outside goes through ``State(...)`` or ``State.from_text``.
         """
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "cells", cells)
-        return self
+        return tuple.__new__(cls, (cells, n, origin))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("State is immutable")
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
-    def __eq__(self, other):
-        if not isinstance(other, State):
-            return NotImplemented
-        return (self.n, self.origin, self.cells) == (other.n, other.origin, other.cells)
-
-    def __hash__(self):
-        return hash((self.n, self.origin, self.cells))
+    def __reduce__(self):
+        """Unpickle through the checks, which pickle protocols 0 and 1 would skip."""
+        return type(self), tuple(self)
 
     def __repr__(self):
         return f"State({self.to_text()!r}, n={self.n})"
@@ -234,12 +229,13 @@ def trajectory(p, capacity=None, steps=1):
 
     capacity None means the full evolution T: one carrier pass per step at
     capacity max(1, #letters), where T_l has saturated (T_l = T for every
-    l >= #letters).
+    l >= #letters).  The out_states are built from the carrier's output
+    without re-checking its letters.
     """
     _check_run(capacity, steps)
     passes = list(_passes(p.cells, p.n, capacity, steps))
     return [
-        CarrierTrace(State(cells, p.n, p.origin), _h_values(before, cells))
+        CarrierTrace(State._trusted(tuple(cells), p.n, p.origin), _h_values(before, cells))
         for before, cells in zip([p.cells, *passes], passes)
     ]
 
@@ -248,12 +244,13 @@ def evolve(p, capacity=None, steps=1):
     """The state after `steps` applications of T_capacity (T itself when None).
 
     Only the current cells are kept, so memory does not grow with `steps`.
+    The result is built from the carrier's output without re-checking it.
     """
     _check_run(capacity, steps)
     cells = p.cells
     for cells in _passes(cells, p.n, capacity, steps):
         pass
-    return State(cells, p.n, p.origin)
+    return State._trusted(tuple(cells), p.n, p.origin)
 
 
 def _mirror(cells, n):

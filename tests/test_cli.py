@@ -221,6 +221,10 @@ def test_rmatrix_rejects_bad_input(monkeypatch, capsys):
     # the positional pair is named as such; stdin lines keep their line number
     code, out, err = run_cli(["rmatrix", "--n", "4", "12|"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and err == "error: pair: empty element text\n"
+    # an explicit empty pair is an empty pair, not a cue to read stdin
+    for stdin in ("", "1123|23\n"):
+        code, out, err = run_cli(["rmatrix", "--n", "4", ""], stdin=stdin, monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out, err) == (2, "", "error: pair: empty element text\n")
     code, out, err = run_cli(["rmatrix", "--n", "4"], stdin="12|3\n12|\n", monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and err == "error: line 2: empty element text\n"
     # letters are ASCII digits only: int() would read '١٢' as 12

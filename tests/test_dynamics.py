@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from boxball.dynamics import (
     State,
+    _sweep,
     carrier_pass,
     energy,
     evolve,
@@ -14,6 +15,7 @@ from boxball.dynamics import (
     spectrum,
     trajectory,
 )
+from boxball.tensor import tensor_e, tensor_f
 from helpers import (
     SINGLE_SOLITON_ROWS,
     THREE_SOLITON_ROWS,
@@ -143,8 +145,8 @@ def test_spectrum():
 
 
 @st.composite
-def states(draw, max_cells=25, max_n=6, max_origin=0):
-    n = draw(st.integers(2, max_n))
+def states(draw, max_cells=25, max_n=6, max_origin=0, min_n=2):
+    n = draw(st.integers(min_n, max_n))
     cells = draw(st.lists(st.integers(1, n), max_size=max_cells))
     return State(cells, n, draw(st.integers(-max_origin, max_origin)))
 
@@ -158,9 +160,14 @@ def test_state_text_round_trip_property(p):
 @settings(max_examples=300, deadline=None)
 @given(states(max_n=12, max_origin=5), st.one_of(st.none(), st.integers(1, 6)))
 def test_library_built_states_pass_validation(p, l):
-    # trim and evolve_inverse build their results without re-checking the
-    # cells; the checking constructor must accept each result unchanged
-    for q in (p.trim(), evolve_inverse(p, l, 1), evolve_inverse(p, l, 2)):
+    # trim, evolve, trajectory and evolve_inverse build their results without
+    # re-checking the cells; the checking constructor must accept each unchanged
+    built = [p.trim(), evolve_inverse(p, l, 1), evolve_inverse(p, l, 2)]
+    for k in range(4):
+        built.append(evolve(p, l, k))
+        built += [trace.out_state for trace in trajectory(p, l, k)]
+    built.append(carrier_pass(p, l or max(1, p.nonvacuum_count)).out_state)
+    for q in built:
         assert type(q.cells) is tuple
         assert q == State(q.cells, q.n, q.origin)
 
@@ -290,6 +297,34 @@ def test_full_evolution_matches_ball_moving_rule(p):
     # Takahashi's rule moves balls, not a carrier: no R-matrix and no h
     assert evolve(p, None).trim() == ball_moving_step(p)
     assert evolve_inverse(p, None).trim() == ball_moving_inverse(p)
+
+
+def padded(cells, width, n):
+    return (*cells, *(n,) * (width - len(cells)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(states(max_cells=60, max_n=9, min_n=3), st.data())
+def test_carrier_pass_commutes_with_sl_n_minus_1(p, data):
+    # the vacuum n has an empty i-signature for colors i = 1..n-2, so a pass
+    # commutes with e_i and f_i on the cells read as B_1 factors and keeps
+    # every E_l; colors 0 and n-1 meet the vacuum and do change E_l
+    n = p.n
+    l = data.draw(st.sampled_from([1, 2, 3, 5, max(1, p.nonvacuum_count)]))
+    out = tuple(_sweep(p.cells, n, l))
+    cells = padded(p.cells, len(out), n)
+    for i in range(1, n - 1):
+        for op in (tensor_e, tensor_f):
+            moved = op(tuple((x,) for x in cells), i, n)
+            image = op(tuple((x,) for x in out), i, n)
+            assert (moved is None) == (image is None)
+            if moved is None:
+                continue
+            moved = [x for (x,) in moved]
+            swept = _sweep(moved, n, l)
+            width = max(len(swept), len(image))
+            assert padded(swept, width, n) == padded([x for (x,) in image], width, n)
+            assert energy(State(moved, n), l) == energy(p, l)
 
 
 @st.composite

@@ -1,6 +1,9 @@
-"""The seven result records: fields, reprs, immutability, equality, and what importing them costs."""
+"""The seven result records and `State`: fields, reprs, immutability, equality, pickling, and what importing them costs."""
 
+import copy
 import os
+import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +100,41 @@ def test_equal_fields_give_equal_records(record):
         assert len({twin, record}) == 1
     changed = cls(*values[:-1], "other")
     assert changed != record
+
+
+@pytest.mark.parametrize("record", [State.from_text("@-3 332...11...2", 4), *records()], ids=lambda r: type(r).__name__)
+def test_records_pickle_and_copy(record):
+    # a State inside a record is rebuilt through State's checking constructor
+    copies = [pickle.loads(pickle.dumps(record, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (*copies, copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is type(record)
+        assert twin == record and repr(twin) == repr(record)
+
+
+def test_state_is_a_checked_named_tuple():
+    p = State.from_text("@-3 332...11...2", 4)
+    assert State._fields == ("cells", "n", "origin")
+    assert p == (p.cells, 4, -3) and len(p) == 3
+    twin = State(*p)
+    assert twin == p and hash(twin) == hash(p)
+    for name in State._fields:
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    with pytest.raises(AttributeError):
+        p.extra = None
+    # every way back into a State checks the letters
+    assert p._replace(origin=2) == State(p.cells, 4, 2)
+    with pytest.raises(ValueError, match=re.escape("cell letter 9 out of range 1..4")):
+        p._replace(cells=(9,))
+    with pytest.raises(ValueError, match=re.escape("cell letter 0 out of range 1..4")):
+        State._make(((0,), 4, 0))
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(State((1, 2), 4), proto)
+        # the cells (1, 2) become (1, 9): protocol 0 writes ints as text, the others as bytes
+        tampered = data.replace(b"I1\nI2\n", b"I1\nI9\n").replace(b"K\x01K\x02", b"K\x01K\x09")
+        assert tampered != data
+        with pytest.raises(ValueError, match=re.escape("cell letter 9 out of range 1..4")):
+            pickle.loads(tampered)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
