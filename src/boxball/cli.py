@@ -97,20 +97,19 @@ def _each_state(args):
 def cmd_evolve(args):
     for state in _each_state(args):
         print(state.to_text())
-        before = state.cells
-        for cells in dynamics._passes(before, state.n, args.capacity, args.steps):
-            print(State(cells, state.n, state.origin).to_text())
+        for q in dynamics.states(state, args.capacity, args.steps):
+            print(q.to_text())
             if args.show_h:
-                print("# H=" + "".join(str(-h) for h in dynamics._h_values(before, cells)))
-            before = cells
+                print("# H=" + "".join(str(-h) for h in dynamics.h_values(state, q)))
+            state = q
     return 0
 
 
 def cmd_inverse(args):
     for state in _each_state(args):
         print(state.to_text())
-        for cells in dynamics._passes(dynamics._mirror(state.cells, state.n), state.n, args.capacity, args.steps):
-            print(dynamics._unmirrored(state, cells).to_text())
+        for q in dynamics.states(dynamics.mirror(state), args.capacity, args.steps):
+            print(dynamics.mirror(q).to_text())
     return 0
 
 

@@ -14,9 +14,12 @@ The carrier is an element of B_l stored as counts of the letters 1..n-1
 it holds (its load), the other l - load letters being the vacuum n.  Its
 exchange with one cell is the R-matrix B_l (x) B_1 -> B_1 (x) B_l, so a
 pass costs O(n) per cell whatever l is.  T_l^-1 is T_l conjugated by the
-mirror that reverses the cells and swaps each letter x < n with n - x.
-Every multi-step run is a view of one generator of successive passes, which
-counts T's capacity once per run and keeps only the current cells.
+`mirror`, which reflects a state about position 0 and swaps each letter
+x < n with n - x.  `states` streams the state after each pass of a run,
+unchecked, counting T's capacity once per run and keeping only the current
+cells; `trajectory`, the CLI and `run_scattering` are views of it, and
+`h_values` reads a pass's h off its two states.  `evolve` and
+`evolve_inverse` run the same passes but build only the last state.
 """
 
 from operator import gt
@@ -134,7 +137,7 @@ def _check_capacity(l):
 
 
 def _check_run(capacity, steps, name="steps"):
-    """Check a run's capacity (None for T) and step count; `_passes` runs only when iterated."""
+    """Check a run's capacity (None for T) and step count before any pass runs."""
     if capacity is not None:
         _check_capacity(capacity)
     if type(steps) is not int or steps < 0:
@@ -187,9 +190,9 @@ def _sweep(cells, n, l):
     return out
 
 
-def _h_values(cells, out):
-    """The h of each exchange of the pass from `cells` to `out`, by the rule above."""
-    return tuple([-d for d in map(gt, cells, out)]) + (-1,) * (len(out) - len(cells))
+def h_values(before, after):
+    """The h of each exchange of the pass from state `before` to state `after`, by the rule above."""
+    return tuple([-d for d in map(gt, before.cells, after.cells)]) + (-1,) * (len(after.cells) - len(before.cells))
 
 
 def carrier_pass(p, l):
@@ -198,14 +201,14 @@ def carrier_pass(p, l):
     The carrier starts as all vacuum; one vacuum cell is appended on the
     right per letter it still holds after the last cell, which drains it
     back to all vacuum, so the trace always covers the full interaction.
-    Each output cell has one h value in {-1, 0}, read by `_h_values`.
+    Each output cell has one h value in {-1, 0}, read by `h_values`.
     """
     _check_capacity(l)
     return trajectory(p, l)[0]
 
 
 def energy(p, l):
-    """The conserved quantity E_l: minus the sum of `_h_values`, counted without building them."""
+    """The conserved quantity E_l: minus the sum of `h_values`, counted without building them."""
     _check_capacity(l)
     out = _sweep(p.cells, p.n, l)
     return len(out) - len(p.cells) + sum(map(gt, p.cells, out))
@@ -224,20 +227,24 @@ def _passes(cells, n, l, steps):
         yield cells
 
 
-def trajectory(p, capacity=None, steps=1):
-    """Apply the time evolution repeatedly, returning one CarrierTrace per step.
+def states(p, capacity=None, steps=1):
+    """The states after passes 1, 2, ..., steps of T_capacity, as a lazy iterator.
 
     capacity None means the full evolution T: one carrier pass per step at
     capacity max(1, #letters), where T_l has saturated (T_l = T for every
-    l >= #letters).  The out_states are built from the carrier's output
+    l >= #letters).  The capacity and step count are checked on the call,
+    before the first pass.  Each state is built from the carrier's output
     without re-checking its letters.
     """
     _check_run(capacity, steps)
-    passes = list(_passes(p.cells, p.n, capacity, steps))
-    return [
-        CarrierTrace(State._trusted(tuple(cells), p.n, p.origin), _h_values(before, cells))
-        for before, cells in zip([p.cells, *passes], passes)
-    ]
+    n, origin = p.n, p.origin
+    return (State._trusted(tuple(cells), n, origin) for cells in _passes(p.cells, n, capacity, steps))
+
+
+def trajectory(p, capacity=None, steps=1):
+    """Apply the time evolution repeatedly, returning one CarrierTrace per state of `states`."""
+    qs = list(states(p, capacity, steps))
+    return [CarrierTrace(q, h_values(prev, q)) for prev, q in zip([p, *qs], qs)]
 
 
 def evolve(p, capacity=None, steps=1):
@@ -253,32 +260,29 @@ def evolve(p, capacity=None, steps=1):
     return State._trusted(tuple(cells), p.n, p.origin)
 
 
-def _mirror(cells, n):
-    """The cells reversed, with each letter x < n swapped for n - x, as a tuple."""
-    swap = (*range(n, 0, -1), n)
-    return tuple([swap[x] for x in reversed(cells)])
+def mirror(p):
+    """The state reflected about position 0, each letter x < n swapped for n - x.
 
-
-def _unmirrored(p, cells):
-    """The state after passes that ran on the mirror of p and left `cells`.
-
-    The drained cells land on the left, lowering the origin by their number.
+    The letter at absolute position x moves to -x, so the window starting at
+    `origin` starts at 1 - origin - len(cells).  The mirror is an involution.
     """
-    return State._trusted(_mirror(cells, p.n), p.n, p.origin - (len(cells) - len(p.cells)))
+    swap = (*range(p.n, 0, -1), p.n)
+    return State._trusted(tuple([swap[x] for x in reversed(p.cells)]), p.n, 1 - p.origin - len(p.cells))
 
 
 def evolve_inverse(p, l, steps=1):
     """Undo T_l (T itself when l is None, at capacity max(1, #letters)).
 
-    T_l^-1 = M T_l M, where the mirror M reverses the cells and swaps each
-    letter x < n with n - x.  So (T_l^-1)^k = M T_l^k M: the run mirrors
-    once at each end, not at every step.
+    T_l^-1 = M T_l M for the `mirror` M, so (T_l^-1)^k = M T_l^k M: the run
+    mirrors once at each end, not at every step.
     """
     _check_run(l, steps)
-    cells = _mirror(p.cells, p.n)
+    m = mirror(p)
+    cells = m.cells
     for cells in _passes(cells, p.n, l, steps):
         pass
-    return _unmirrored(p, cells)
+    # the mirror reads only the order and number of the cells, so a list will do
+    return mirror(State._trusted(cells, p.n, m.origin))
 
 
 class EnergySpectrum(NamedTuple):

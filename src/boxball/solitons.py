@@ -12,7 +12,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import NamedTuple
 
-from .dynamics import State, _check_run, _passes, spectrum
+from .dynamics import State, _check_run, spectrum, states
 from .rmatrix import Affine, iso_with_energy
 
 __all__ = [
@@ -55,13 +55,14 @@ class Soliton(NamedTuple):
 
 def _runs(p):
     """Maximal non-vacuum runs as (absolute position, letters)."""
+    n, origin = p.n, p.origin
     runs = []
     current = []
     start = None
     for idx, x in enumerate(p.cells):
-        if x != p.n:
+        if x != n:
             if not current:
-                start = p.origin + idx
+                start = origin + idx
             current.append(x)
         elif current:
             runs.append((start, tuple(current)))
@@ -170,7 +171,7 @@ def run_scattering(p, rule=None, max_steps=400):
     The census is checked against the energy spectrum once, on the input:
     every T_l conserves it, so a later state decomposes exactly when its runs
     are weakly decreasing with the input's sorted lengths.  A sliding window
-    of three states draws each time step once from one run of passes.
+    of three states draws each time step once from one stream of `states`.
     """
     _check_run(rule, max_steps, "max_steps")
     sols = detect(p, 0)
@@ -184,12 +185,12 @@ def run_scattering(p, rule=None, max_steps=400):
     tab_in = bump_tableau(p)
 
     want = sorted(lengths)
-    passes = _passes(p.cells, p.n, rule, max_steps + 2)
+    later = states(p, rule, max_steps + 2)
     window = [(p, sols)]
     last_good = (0, sols)
     for t in range(max_steps + 1):
         while len(window) < 3:
-            state = State(next(passes), p.n, p.origin)
+            state = next(later)
             window.append((state, _separated(state, t + len(window), want)))
         state, now = window.pop(0)
         if now is not None:
@@ -244,7 +245,12 @@ def format_tableau(rows):
 
 
 def state_with_solitons(placements, n, tail=2):
-    """Build a state from (position, content) pairs, content as read left to right."""
+    """Build a state from (position, content) pairs, content as read left to right.
+
+    `tail` vacuum cells follow the rightmost soliton.
+    """
+    if type(tail) is not int or tail < 0:
+        raise ValueError(f"tail must be an integer >= 0, got {tail!r}")
     if not placements:
         return State((n,) * tail, n)
     if any(pos < 0 for pos, _ in placements):

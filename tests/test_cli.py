@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from boxball import dynamics, rmatrix
 from boxball.cli import main
-from boxball.dynamics import State, energy
-from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, broken_r
+from boxball.dynamics import State, energy, evolve, evolve_inverse, h_values
+from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, broken_r, seeded
 
 
 def run_cli(argv, stdin="", monkeypatch=None, capsys=None):
@@ -140,6 +140,45 @@ def test_inverse_round_trip(monkeypatch, capsys):
     assert code == 0
     rows = [State.from_text(line, 4).trim() for line in out.splitlines()]
     assert rows == [State.from_text(row, 4).trim() for row in reversed(THREE_SOLITON_ROWS)]
+
+
+def exact_windows(n):
+    """Seeded windows at every origin -5..5 over n, empty ones at each nonzero origin."""
+    rng = seeded(n)
+    windows = [State((), n, origin) for origin in range(-5, 6) if origin]
+    for origin in range(-5, 6):
+        for length in (1, 5, 12):
+            windows.append(State([rng.choice([n, n, *range(1, n)]) for _ in range(length)], n, origin))
+    return windows
+
+
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_evolve_and_inverse_rows_equal_the_library(n, monkeypatch, capsys):
+    # every printed row, origin and padding included, is the library's state
+    # after that many steps, and every H row the h of the step just printed
+    windows = exact_windows(n)
+    stdin = "".join(p.to_text() + "\n" for p in windows)
+
+    def with_h(run):
+        rows = [run[0].to_text()]
+        for a, b in zip(run, run[1:]):
+            rows += [b.to_text(), "# H=" + "".join(str(-h) for h in h_values(a, b))]
+        return rows
+
+    for capacity in ("1", "2", "3", "4", "5", "inf"):
+        cap = None if capacity == "inf" else int(capacity)
+        for steps in range(5):
+            options = ["--n", str(n), "--capacity", capacity, "--steps", str(steps)]
+            evolved = [[evolve(p, cap, k) for k in range(steps + 1)] for p in windows]
+            expected = {
+                ("evolve",): [[q.to_text() for q in run] for run in evolved],
+                ("evolve", "--show-h"): [with_h(run) for run in evolved],
+                ("inverse",): [[evolve_inverse(p, cap, k).to_text() for k in range(steps + 1)] for p in windows],
+            }
+            for command, blocks in expected.items():
+                code, out, err = run_cli([command[0], *options, *command[1:]], stdin, monkeypatch, capsys)
+                assert (code, err) == (0, "")
+                assert out == "\n\n".join("\n".join(rows) for rows in blocks) + "\n", (command, capacity, steps)
 
 
 def test_energy_table(monkeypatch, capsys):

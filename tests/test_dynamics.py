@@ -1,10 +1,13 @@
+import ast
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boxball import dynamics
 from boxball.dynamics import (
     State,
     _sweep,
@@ -12,6 +15,8 @@ from boxball.dynamics import (
     energy,
     evolve,
     evolve_inverse,
+    h_values,
+    mirror,
     spectrum,
     trajectory,
 )
@@ -160,9 +165,10 @@ def test_state_text_round_trip_property(p):
 @settings(max_examples=300, deadline=None)
 @given(states(max_n=12, max_origin=5), st.one_of(st.none(), st.integers(1, 6)))
 def test_library_built_states_pass_validation(p, l):
-    # trim, evolve, trajectory and evolve_inverse build their results without
-    # re-checking the cells; the checking constructor must accept each unchanged
-    built = [p.trim(), evolve_inverse(p, l, 1), evolve_inverse(p, l, 2)]
+    # trim, mirror, states, evolve, trajectory and evolve_inverse build their
+    # results without re-checking the cells; the checking constructor must
+    # accept each unchanged
+    built = [p.trim(), mirror(p), evolve_inverse(p, l, 1), evolve_inverse(p, l, 2), *dynamics.states(p, l, 3)]
     for k in range(4):
         built.append(evolve(p, l, k))
         built += [trace.out_state for trace in trajectory(p, l, k)]
@@ -354,6 +360,59 @@ def test_multistep_runs_equal_single_steps(p, l, k):
         assert trajectory(p, l, k)[-1].out_state == evolve(p, l, k)
 
 
+def test_mirror_example():
+    # positions -3..4 map to 3..-4, and the letters 1, 2, 3 of n = 4 to 3, 2, 1
+    p = State.from_text("@-3 .2.1.3..", 4)
+    assert mirror(p).to_text() == "@-4 ..1.3.2."
+    assert mirror(State((), 4, 3)) == State((), 4, -2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5))
+@example(State((), 3, -4), None, 3)
+def test_mirror_conjugates_evolution_into_its_inverse(p, l, k):
+    m = mirror(p)
+    assert mirror(m) == p
+    assert len(m.cells) == len(p.cells)
+    for i, x in enumerate(p.cells):
+        # the letter at absolute position p.origin + i moves to -(p.origin + i), swapped
+        assert m.cells[-(p.origin + i) - m.origin] == (x if x == p.n else p.n - x)
+    assert evolve_inverse(p, l, k) == mirror(evolve(mirror(p), l, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5))
+def test_states_stream_each_step(p, l, k):
+    # the stream is lazy, checked on the call, and its h are those of each pass
+    stream = dynamics.states(p, l, k)
+    assert iter(stream) is stream
+    qs = list(stream)
+    assert qs == [evolve(p, l, j) for j in range(1, k + 1)]
+    assert [h_values(prev, q) for prev, q in zip([p, *qs], qs)] == [t.h_values for t in trajectory(p, l, k)]
+
+
+PRIVATE = {"_passes", "_sweep", "_mirror", "_unmirrored", "_h_values", "_trusted"}
+
+
+def test_only_dynamics_drives_the_passes():
+    # the other modules read a run through states, mirror and h_values, and
+    # never build a state unchecked
+    modules = sorted(Path(dynamics.__file__).parent.glob("*.py"))
+    assert {"cli.py", "solitons.py"} <= {path.name for path in modules}
+    for path in modules:
+        if path.name == "dynamics.py":
+            continue
+        used = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        assert not used & PRIVATE, path.name
+
+
 @pytest.mark.parametrize("run", [evolve, evolve_inverse])
 def test_multistep_memory_does_not_grow_with_steps(run):
     # only the current cells are kept: a run that kept one trace per step
@@ -379,22 +438,27 @@ def test_capacity_validation():
     with pytest.raises(ValueError):
         trajectory(p, 2, -1)
     # a negative step count is an error for the inverse too, not a no-op
-    for step in (evolve, evolve_inverse):
+    for step in (evolve, evolve_inverse, dynamics.states):
         with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -2$"):
             step(p, 3, -2)
         with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -1$"):
             step(p, None, -1)
     assert evolve_inverse(p, 3, 0) == p
+    # states checks on the call, before the stream is iterated
+    with pytest.raises(ValueError, match="^carrier capacity must be an integer >= 1, got 0$"):
+        dynamics.states(p, 0)
+    with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -1$"):
+        dynamics.states(p, 2, -1)
     # the capacity is checked before the first step, zero steps included
-    for step, capacity in ((evolve, 0), (trajectory, -1), (evolve, 2.5), (evolve_inverse, 0)):
+    for step, capacity in ((evolve, 0), (trajectory, -1), (evolve, 2.5), (evolve_inverse, 0), (dynamics.states, 0)):
         with pytest.raises(ValueError, match=f"^carrier capacity must be an integer >= 1, got {capacity}$"):
             step(p, capacity, 0)
     # a bool is not a capacity: True would otherwise run T_1
-    for step in (carrier_pass, energy, evolve, evolve_inverse, trajectory):
+    for step in (carrier_pass, energy, evolve, evolve_inverse, trajectory, dynamics.states):
         with pytest.raises(ValueError, match="^carrier capacity must be an integer >= 1, got True$"):
             step(p, True)
     # nor a step count, and a float or a string fails with the same message, not a raw TypeError
-    for step in (evolve, evolve_inverse, trajectory):
+    for step in (evolve, evolve_inverse, trajectory, dynamics.states):
         for steps in (True, 2.5, "2"):
             with pytest.raises(ValueError, match=f"^steps must be an integer >= 0, got {re.escape(repr(steps))}$"):
                 step(p, 1, steps)

@@ -1,3 +1,4 @@
+import re
 from bisect import bisect_right
 from collections import Counter
 
@@ -196,25 +197,25 @@ def test_run_scattering_checks_max_steps():
 )
 def test_run_scattering_computes_census_once(text, rule, monkeypatch):
     # the census is conserved, so one spectrum suffices, and the window of
-    # three states takes each time step once from a single run of passes
+    # three states takes each time step once from a single stream of states
     calls = Counter()
-    spectrum, passes = solitons.spectrum, solitons._passes
+    spectrum, states = solitons.spectrum, solitons.states
 
     def counted_spectrum(*args):
         calls["spectrum"] += 1
         return spectrum(*args)
 
-    def counted_passes(*args):
+    def counted_states(*args):
         calls["run"] += 1
-        for item in passes(*args):
-            calls["pass"] += 1
+        for item in states(*args):
+            calls["state"] += 1
             yield item
 
     monkeypatch.setattr(solitons, "spectrum", counted_spectrum)
-    monkeypatch.setattr(solitons, "_passes", counted_passes)
+    monkeypatch.setattr(solitons, "states", counted_states)
     report = run_scattering(State.from_text(text, 4), rule)
     assert report.match
-    assert calls == {"spectrum": 1, "run": 1, "pass": report.steps + 2}
+    assert calls == {"spectrum": 1, "run": 1, "state": report.steps + 2}
 
 
 def test_run_scattering_under_finite_rule():
@@ -361,3 +362,10 @@ def test_state_with_solitons_validation():
         state_with_solitons([(0, (4,))], 4)
     with pytest.raises(ValueError):
         state_with_solitons([(0, (2, 1)), (1, (1,))], 4)
+    assert state_with_solitons([(1, (3, 2))], 4, tail=0) == State((4, 3, 2), 4)
+    assert state_with_solitons([], 4, tail=0) == State((), 4)
+    # the tail is a count of vacuum cells: not negative, fractional or a bool
+    for placements in ([(0, (3, 2))], []):
+        for tail in (-1, 2.5, "2", None, True):
+            with pytest.raises(ValueError, match=f"^tail must be an integer >= 0, got {re.escape(repr(tail))}$"):
+                state_with_solitons(placements, 4, tail=tail)
