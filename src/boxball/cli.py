@@ -11,9 +11,15 @@ from .rmatrix import format_affine
 from .tensor import parse_tensor
 
 
-# At about 20 us per case (18-20 us measured from 8,000 to 343,000 cases under
-# CPython 3.11 on x86-64), this bounds one ybe run to about twenty seconds.
+# Measured under CPython 3.11 on x86-64: a case of `yang_baxter_check` takes
+# 0.4-0.6 us, and an exchange into its tables 1.5 us plus 0.16 us per letter
+# of the pair.  In units of one case, `_ybe_cost` counts an exchange of a + b
+# letters as 3 + (a + b) // 3, and each listed letter as 4, which keeps the
+# element lists under about 80 MB.  YBE_MAX_WORK units take at most about
+# 20 s (18 s at sizes 1,380,380 and n=2); YBE_MAX_CASES bounds the tables,
+# which have at most half as many entries as there are cases.
 YBE_MAX_CASES = 1_000_000
+YBE_MAX_WORK = 40_000_000
 
 
 class CliError(Exception):
@@ -138,15 +144,27 @@ def cmd_rmatrix(args):
     return 0
 
 
+def _ybe_cost(sizes, n):
+    """Cases and work of `yang_baxter_check` on these sizes, work in units of one case."""
+    size = {l: math.comb(l + n - 1, n - 1) for l in sizes}
+    l1, l2, l3 = sizes
+    cases = math.prod(size[l] for l in sizes)
+    exchanges = sum(size[a] * size[b] * (3 + (a + b) // 3) for a, b in {(l1, l2), (l2, l3), (l1, l3)})
+    letters = sum(size[l] * l for l in size)
+    return cases, cases + exchanges + 4 * letters
+
+
 def cmd_ybe(args):
     sizes = tuple(_integer(x) for x in args.sizes.split(","))
     if None in sizes:
         raise CliError(f"--sizes must be three comma-separated integers, got {args.sizes!r}")
     if len(sizes) != 3 or any(l < 1 for l in sizes):
         raise CliError(f"--sizes must be three positive integers, got {args.sizes!r}")
-    cases = math.prod(math.comb(l + args.n - 1, args.n - 1) for l in sizes)
+    cases, work = _ybe_cost(sizes, args.n)
     if cases > YBE_MAX_CASES:
         raise CliError(f"--sizes {args.sizes} at n={args.n} needs {cases} cases, more than the limit of {YBE_MAX_CASES}")
+    if work > YBE_MAX_WORK:
+        raise CliError(f"--sizes {args.sizes} at n={args.n} needs {work} units of work, more than the limit of {YBE_MAX_WORK}")
     report = rmatrix.yang_baxter_check(*sizes, args.n)
     if report.ok:
         print(f"PASS sizes={args.sizes} n={args.n} cases={report.cases}")

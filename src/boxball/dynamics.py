@@ -95,7 +95,8 @@ class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin",
             body = ",".join("." if x == self.n else str(x) for x in self.cells)
         else:
             body = "".join("." if x == self.n else str(x) for x in self.cells)
-        if self.origin:
+        # an empty window keeps its prefix, so its row is never blank
+        if self.origin or not body:
             return f"@{self.origin} {body}"
         return body
 

@@ -17,7 +17,6 @@ e_i/f_i edges from the all-vacuum anchor; H changes only on e_0 edges, by
 carry an integer exponent d that the R-matrix shifts by +-H.
 """
 
-import math
 from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
@@ -125,43 +124,54 @@ class YangBaxterReport(NamedTuple):
     counterexample: tuple = None
 
 
+def _exchange_table(left, right, n):
+    """R on all of left (x) right by position: rows[p][q] = (position of c1 in right, position of c2 in left, H)."""
+    at_left = {b: k for k, b in enumerate(left)}
+    at_right = {b: k for k, b in enumerate(right)}
+    rows = []
+    for b in left:
+        row = []
+        for bp in right:
+            (c1, c2), h = iso_with_energy(b, bp, n)
+            row.append((at_right[c1], at_left[c2], h))
+        rows.append(row)
+    return rows
+
+
 def yang_baxter_check(l1, l2, l3, n):
     """Exhaustively compare (R x 1)(1 x R)(R x 1) with (1 x R)(R x 1)(1 x R).
 
     Runs over every basis triple of B_l1 (x) B_l2 (x) B_l3 with zero
     exponents; exponents are part of the comparison.  Each distinct pair of
-    elements is exchanged once and its image reused.  Reports the first
+    elements is exchanged once, into a table by position, and the triples
+    are then walked as positions and exponents.  Reports the first
     counterexample on failure.
     """
-    images = {}
-
-    def r(x, y):
-        """apply_r on (exponent, element) tuples, through the table of images."""
-        key = (x[1], y[1])
-        got = images.get(key)
-        if got is None:
-            got = images[key] = iso_with_energy(x[1], y[1], n)
-        (c1, c2), h = got
-        return (y[0] + h, c1), (x[0] - h, c2)
-
+    elements = {l: tuple(crystal.elements(l, n)) for l in {l1, l2, l3}}
+    tables = {key: _exchange_table(elements[key[0]], elements[key[1]], n) for key in {(l1, l2), (l2, l3), (l1, l3)}}
+    r12, r23, r13 = tables[l1, l2], tables[l2, l3], tables[l1, l3]
+    n3 = len(elements[l3])
     cases = 0
-    for b1 in crystal.elements(l1, n):
-        x1 = (0, b1)
-        for b2 in crystal.elements(l2, n):
-            x2 = (0, b2)
-            # the first R12 of the left side does not depend on b3
-            u1, u2 = r(x1, x2)
-            for b3 in crystal.elements(l3, n):
-                x3 = (0, b3)
-                v2, v3 = r(u2, x3)
-                lhs = (*r(u1, v2), v3)
-                w2, w3 = r(x2, x3)
-                p1, p2 = r(x1, w2)
-                rhs = (p1, *r(p2, w3))
+    for p1 in range(len(elements[l1])):
+        for p2 in range(len(elements[l2])):
+            # the first R12 of the left side does not depend on the third factor
+            u1, u2, h12 = r12[p1][p2]
+            row = r13[u2]
+            for p3 in range(n3):
+                v2, v3, h13 = row[p3]
+                s1, s2, h23 = r23[u1][v2]
+                w2, w3, g23 = r23[p2][p3]
+                t1, t2, g13 = r13[p1][w2]
+                q2, q3, g12 = r12[t2][w3]
+                # positions in B_l3, B_l2, B_l1, then exponents
+                lhs = (s1, s2, v3, h13 + h23, h12 - h23, -h12 - h13)
+                rhs = (t1, q2, q3, g23 + g13, g12 - g23, -g13 - g12)
                 cases += 1
                 if lhs != rhs:
-                    sides = ((x1, x2, x3), lhs, rhs)
-                    return YangBaxterReport(False, cases, tuple(tuple(Affine(*x) for x in side) for side in sides))
+                    e1, e2, e3 = elements[l1], elements[l2], elements[l3]
+                    start = (Affine(0, e1[p1]), Affine(0, e2[p2]), Affine(0, e3[p3]))
+                    sides = (tuple(Affine(d, e[k]) for e, k, d in zip((e3, e2, e1), side[:3], side[3:])) for side in (lhs, rhs))
+                    return YangBaxterReport(False, cases, (start, *sides))
     return YangBaxterReport(True, cases)
 
 
@@ -173,38 +183,45 @@ def oracle_table(l1, l2, n):
     e_i/f_i word applied on the swapped side, and H steps along e_0 edges
     by where e_0 acts: +1 on the left factor of both a pair and its image,
     -1 on the right factor of both, 0 otherwise.  An f_0 edge steps by minus
-    the rule on the e_0 edge back, which acts on the same factors.
-    Independent of the pairing algorithm.
+    the rule on the e_0 edge back, which acts on the same factors.  Pairs
+    are walked as positions in the two `crystal.table`s, whose counts go
+    through `tensor.targets`.  Independent of the pairing algorithm.
     """
-    start = ((n,) * l1, (n,) * l2)
-    known = {start: (((n,) * l2, (n,) * l1), 0)}
+    elements1, moves1 = crystal.table(l1, n)
+    elements2, moves2 = crystal.table(l2, n)
+    # the all-vacuum elements come last in lexicographic order
+    start = (len(elements1) - 1, len(elements2) - 1)
+    known = {start: (start[::-1], 0)}
     queue = deque([start])
     while queue:
         x = queue.popleft()
         image, h = known[x]
+        a, b = moves1[x[0]], moves2[x[1]]
+        c, d = moves2[image[0]], moves1[image[1]]
         for i in range(n):
-            targets = tensor._targets(x, i, n)
+            ai, bi = a[i], b[i]
+            targets = tensor.targets((ai[0], bi[0]))
             image_targets = None
-            for side, apply, sign in ((0, crystal.apply_e, 1), (1, crystal.apply_f, -1)):
+            for side, sign in ((0, 1), (1, -1)):
                 j = targets[side]
                 if j is None:
                     continue
-                y = (apply(x[0], i, n), x[1]) if j == 0 else (x[0], apply(x[1], i, n))
+                y = (ai[1 + side], x[1]) if j == 0 else (x[0], bi[1 + side])
                 if y in known:
                     continue
                 if image_targets is None:
-                    image_targets = tensor._targets(image, i, n)
+                    ci, di = c[i], d[i]
+                    image_targets = tensor.targets((ci[0], di[0]))
                 k = image_targets[side]
                 if k is None:
                     raise RuntimeError(f"operator path broke at {x!r} color {i}; sides not isomorphic")
-                img_y = (apply(image[0], i, n), image[1]) if k == 0 else (image[0], apply(image[1], i, n))
+                img_y = (ci[1 + side], image[1]) if k == 0 else (image[0], di[1 + side])
                 step = 1 - 2 * j if i == 0 and j == k else 0
                 known[y] = (img_y, h + sign * step)
                 queue.append(y)
-    expected = math.comb(l1 + n - 1, n - 1) * math.comb(l2 + n - 1, n - 1)
-    if len(known) != expected:
+    if len(known) != len(elements1) * len(elements2):
         raise RuntimeError(f"affine crystal graph on B_{l1} (x) B_{l2} is not connected for n={n}")
-    return known
+    return {(elements1[p], elements2[q]): ((elements2[u], elements1[v]), h) for (p, q), ((u, v), h) in known.items()}
 
 
 def iso_oracle(b, bp, n):

@@ -58,36 +58,35 @@ def reduce_signature(sig):
     return Signature(signs, tuple(minus) + tuple(plus))
 
 
-def _targets(t, i, n):
+def targets(counts):
     """The factors e_i and f_i act on, as (e factor, f factor), None where undefined.
 
-    The signature rule on sign counts: a factor's epsilon_i minuses cancel
-    the latest pending pluses, and a minus left over survives for good, so
-    e_i acts on the last factor with a surviving minus; its phi_i pluses then
-    wait, and f_i acts on the first factor with a plus still waiting.
+    counts holds each factor's (epsilon_i, phi_i).  The two-factor rule,
+    folded left to right: a prefix whose reduced signature is -^eps +^phi
+    times a factor with counts (m, p) has m - phi minuses of the factor
+    surviving when m > phi, and e_i then acts on the factor, else in the
+    prefix; the prefix's leftmost plus survives when phi > m, and f_i then
+    acts in the prefix, else on the factor, if p > 0.  The product keeps
+    p + max(0, phi - m) pluses.
     """
+    e = f = None
+    phi = 0
+    for j, (m, p) in enumerate(counts):
+        if m > phi:
+            e = j
+        if phi > m:
+            phi += p - m
+        else:
+            phi, f = p, j if p else None
+    return e, f
+
+
+def _targets(t, i, n):
+    """`targets` of a tensor element, from the letter counts of its factors."""
     crystal.check_color(i, n)
     minus = i + 1
     plus = n if i == 0 else i
-    e = None
-    owners = []
-    waiting = []
-    for j, b in enumerate(t):
-        m = b.count(minus)
-        while m and waiting:
-            if waiting[-1] > m:
-                waiting[-1] -= m
-                m = 0
-            else:
-                m -= waiting.pop()
-                owners.pop()
-        if m:
-            e = j
-        p = b.count(plus)
-        if p:
-            owners.append(j)
-            waiting.append(p)
-    return e, owners[0] if owners else None
+    return targets([(b.count(minus), b.count(plus)) for b in t])
 
 
 def tensor_e(t, i, n):

@@ -143,9 +143,9 @@ def test_inverse_round_trip(monkeypatch, capsys):
 
 
 def exact_windows(n):
-    """Seeded windows at every origin -5..5 over n, empty ones at each nonzero origin."""
+    """Seeded windows at every origin -5..5 over n, empty ones included."""
     rng = seeded(n)
-    windows = [State((), n, origin) for origin in range(-5, 6) if origin]
+    windows = [State((), n, origin) for origin in range(-5, 6)]
     for origin in range(-5, 6):
         for length in (1, 5, 12):
             windows.append(State([rng.choice([n, n, *range(1, n)]) for _ in range(length)], n, origin))
@@ -295,6 +295,19 @@ def test_ybe_command(monkeypatch, capsys):
         "lhs:   z^{-3}(1) z^{0}(2) z^{3}(1,1)",
         "rhs:   z^{-2}(1) z^{-1}(2) z^{3}(1,1)",
     ]
+
+
+def test_ybe_work_budget(monkeypatch, capsys):
+    # few cases, but each exchange moves hundreds of letters: the budget
+    # falls between these inputs, and is checked before any pair is exchanged
+    # a stand-in check: the accepted input would take about twenty seconds
+    monkeypatch.setattr(rmatrix, "yang_baxter_check", lambda *args: rmatrix.YangBaxterReport(True, 290322))
+    for sizes, work in (("1,390,390", 41227439), ("1,706,706", 239761383)):
+        code, out, err = run_cli(["ybe", "--n", "2", "--sizes", sizes], monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --sizes {sizes} at n=2 needs {work} units of work, more than the limit of 40000000\n"
+    code, out, err = run_cli(["ybe", "--n", "2", "--sizes", "1,380,380"], monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (0, "PASS sizes=1,380,380 n=2 cases=290322\n", "")
 
 
 def test_scatter_command(monkeypatch, capsys):

@@ -51,6 +51,20 @@ def test_statistics_match_iteration(n, l):
             assert m == crystal.phi(b, i, n)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_table_matches_the_operators(n, l):
+    elements, moves = crystal.table(l, n)
+    assert elements == tuple(crystal.elements(l, n))
+    at = lambda k: None if k is None else elements[k]
+    for b, row in zip(elements, moves, strict=True):
+        assert len(row) == n
+        for i, (counts, e, f) in enumerate(row):
+            assert counts == (crystal.epsilon(b, i, n), crystal.phi(b, i, n))
+            assert at(e) == crystal.apply_e(b, i, n)
+            assert at(f) == crystal.apply_f(b, i, n)
+
+
 @pytest.mark.parametrize("n,l", [(2, 4), (3, 4), (4, 4)])
 def test_e_f_inverse_and_validity(n, l):
     for b in crystal.elements(l, n):

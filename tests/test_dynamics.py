@@ -78,6 +78,11 @@ def test_state_text_round_trip_every_alphabet():
             p = random_state(rng, n=n)
             p = State(p.cells, n, rng.randint(-20, 20))
             assert State.from_text(p.to_text(), n) == p
+        # an empty window prints its prefix at every origin, 0 included
+        for origin in (-1, 0, 1):
+            empty = State((), n, origin)
+            assert empty.to_text() == f"@{origin} "
+            assert State.from_text(empty.to_text(), n) == empty
 
 
 def test_trim():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -219,15 +220,27 @@ def test_yang_baxter_reports_a_counterexample(monkeypatch):
     assert all(type(x) is Affine for side in report.counterexample for x in side)
 
 
+def test_yang_baxter_memory_does_not_grow_with_element_length():
+    # the tables hold positions, not elements: the peak here is 0.4 MB, and
+    # a table holding one pair of image tuples per pair would take 6.8 MB
+    tracemalloc.start()
+    try:
+        report = yang_baxter_check(1, 60, 60, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.cases == 2 * 61 * 61
+    assert peak < 1_500_000
+
+
 def test_oracle_examples():
     assert iso_oracle((1, 1, 2, 3), (1, 2), 4) == (((1, 3), (1, 1, 2, 2)), -1)
     assert iso_oracle((4, 4, 4), (4, 4), 4) == (((4, 4), (4, 4, 4)), 0)
 
 
 def test_oracle_matches_pairing():
-    sizes = [(n, l1, l2) for n in (2, 3, 4) for l1, l2 in itertools.product((1, 2, 3), repeat=2)]
-    # the mirrored rule (left factor shorter) at a larger alphabet
-    sizes += [(5, l1, l2) for l1, l2 in itertools.combinations((1, 2, 3, 4), 2)]
+    # both length orders, so the mirrored rule (left factor shorter) too
+    sizes = [(n, l1, l2) for n in (2, 3, 4, 5) for l1, l2 in itertools.product((1, 2, 3, 4), repeat=2)]
     for n, l1, l2 in sizes:
         for (b, bp), expected in oracle_table(l1, l2, n).items():
             assert iso_with_energy(b, bp, n) == expected
