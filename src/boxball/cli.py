@@ -12,11 +12,11 @@ from .tensor import parse_tensor
 
 
 # Measured under CPython 3.11 on x86-64: a case of `yang_baxter_check` takes
-# 0.4-0.6 us, and an exchange into its tables 1.5 us plus 0.16 us per letter
+# 0.3-0.6 us, and an exchange into its tables 0.8 us plus 0.12 us per letter
 # of the pair.  In units of one case, `_ybe_cost` counts an exchange of a + b
 # letters as 3 + (a + b) // 3, and each listed letter as 4, which keeps the
 # element lists under about 80 MB.  YBE_MAX_WORK units take at most about
-# 20 s (18 s at sizes 1,380,380 and n=2); YBE_MAX_CASES bounds the tables,
+# 20 s (15 s at sizes 1,380,380 and n=2); YBE_MAX_CASES bounds the tables,
 # which have at most half as many entries as there are cases.
 YBE_MAX_CASES = 1_000_000
 YBE_MAX_WORK = 40_000_000

@@ -302,12 +302,15 @@ def spectrum(p):
 
     E_l - E_{l-1} counts the solitons of length >= l, so once it is 0 it stays
     0.  The sweep stops at the first such l, where N_l = 0; every larger l has
-    the same E_l and N_l = 0.  That l is at most #letters + 1.
+    the same E_l and N_l = 0.  That l is at most #letters + 1.  E_l is the sum
+    of min(l, length) over the solitons, so once it reaches #letters the
+    next value is known without a pass.
     """
+    letters = p.nonvacuum_count
     e = {0: 0, 1: energy(p, 1)}
     l = 1
     while e[l] != e[l - 1]:
         l += 1
-        e[l] = energy(p, l)
+        e[l] = e[l - 1] if e[l - 1] == letters else energy(p, l)
     nvals = {k: -e[k - 1] + 2 * e[k] - e.get(k + 1, e[k]) for k in range(1, l + 1)}
     return EnergySpectrum(e, nvals)

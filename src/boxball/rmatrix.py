@@ -13,12 +13,13 @@ carrier is a view of the general map.  An independent oracle recomputes
 image and H from the crystal graph alone, by propagating images along
 e_i/f_i edges from the all-vacuum anchor; H changes only on e_0 edges, by
 +1 where e_0 acts on the left factor of both the pair and its image and by
--1 where it acts on the right factor of both.  Affinized elements z^d b
-carry an integer exponent d that the R-matrix shifts by +-H.
+-1 where it acts on the right factor of both.  It holds each pair and
+image as one integer index into the two factors' `crystal.table`s, and
+asks `tensor.targets` once per pair of factor counts.  Affinized elements
+z^d b carry an integer exponent d that the R-matrix shifts by +-H.
 """
 
 from bisect import bisect_left
-from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -49,16 +50,21 @@ class Pairing(NamedTuple):
 
 
 def _pair(b, bp):
-    """`pair`'s loop, for len(b) >= len(bp): (right letter, left letter, wound) triples and the free left letters."""
+    """`pair`'s loop, for len(b) >= len(bp): the left letters taken, the count of unwound lines and the free letters.
+
+    The i-th taken letter is the one the i-th largest right letter takes.
+    """
     free = list(b)
-    pairs = []
+    taken = []
+    unwound = 0
     for v in reversed(bp):
-        j = bisect_left(free, v) - 1
-        if j >= 0:
-            pairs.append((v, free.pop(j), False))
+        j = bisect_left(free, v)
+        if j:
+            taken.append(free.pop(j - 1))
+            unwound += 1
         else:
-            pairs.append((v, free.pop(), True))
-    return pairs, free
+            taken.append(free.pop())
+    return taken, unwound, free
 
 
 def pair(b, bp):
@@ -72,8 +78,9 @@ def pair(b, bp):
     """
     if len(b) < len(bp):
         raise ValueError(f"left factor must be at least as long as the right one, got {len(b)} < {len(bp)}")
-    pairs, free = _pair(b, bp)
-    return Pairing(tuple(pairs), tuple(free))
+    taken, _, free = _pair(b, bp)
+    # a line wraps exactly when it takes a letter not below its own
+    return Pairing(tuple([(v, u, u >= v) for v, u in zip(reversed(bp), taken)]), tuple(free))
 
 
 def _dual(w):
@@ -90,15 +97,11 @@ def iso_with_energy(b, bp, n=None):
     if len(b) < len(bp):
         (c1, c2), h = iso_with_energy(_dual(bp), _dual(b))
         return (_dual(c2), _dual(c1)), h
-    pairs, free = _pair(b, bp)
-    paired = []
-    h = 0
-    for _, u, wound in pairs:
-        paired.append(u)
-        if not wound:
-            h -= 1
-    paired.sort()
-    return (tuple(paired), tuple(sorted(bp + tuple(free)))), h
+    taken, unwound, free = _pair(b, bp)
+    taken.sort()
+    free += bp
+    free.sort()
+    return (tuple(taken), tuple(free)), -unwound
 
 
 def iso_single(b, v):
@@ -183,45 +186,52 @@ def oracle_table(l1, l2, n):
     e_i/f_i word applied on the swapped side, and H steps along e_0 edges
     by where e_0 acts: +1 on the left factor of both a pair and its image,
     -1 on the right factor of both, 0 otherwise.  An f_0 edge steps by minus
-    the rule on the e_0 edge back, which acts on the same factors.  Pairs
-    are walked as positions in the two `crystal.table`s, whose counts go
-    through `tensor.targets`.  Independent of the pairing algorithm.
+    the rule on the e_0 edge back, which acts on the same factors.  A pair
+    of positions (p, q) in the two `crystal.table`s is the index
+    p * |B_l2| + q, its image (u, v) the index u * |B_l1| + v, and the
+    signature rule is looked up per call by the two factors'
+    (epsilon_i, phi_i) counts, each count pair going through
+    `tensor.targets` once.  Independent of the pairing algorithm.
     """
     elements1, moves1 = crystal.table(l1, n)
     elements2, moves2 = crystal.table(l2, n)
+    n1, n2 = len(elements1), len(elements2)
     # the all-vacuum elements come last in lexicographic order
-    start = (len(elements1) - 1, len(elements2) - 1)
-    known = {start: (start[::-1], 0)}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        image, h = known[x]
-        a, b = moves1[x[0]], moves2[x[1]]
-        c, d = moves2[image[0]], moves1[image[1]]
+    images = [None] * (n1 * n2)
+    energies = [0] * (n1 * n2)
+    queue = [n1 * n2 - 1]
+    images[-1] = n1 * n2 - 1
+    rule = {}
+    for x in queue:
+        image, h = images[x], energies[x]
+        p, q = divmod(x, n2)
+        u, v = divmod(image, n1)
+        a, b, c, d = moves1[p], moves2[q], moves2[u], moves1[v]
         for i in range(n):
             ai, bi = a[i], b[i]
-            targets = tensor.targets((ai[0], bi[0]))
+            counts = ai[0], bi[0]
+            targets = rule.get(counts) or rule.setdefault(counts, tensor.targets(counts))
             image_targets = None
             for side, sign in ((0, 1), (1, -1)):
                 j = targets[side]
                 if j is None:
                     continue
-                y = (ai[1 + side], x[1]) if j == 0 else (x[0], bi[1 + side])
-                if y in known:
+                y = ai[1 + side] * n2 + q if j == 0 else x - q + bi[1 + side]
+                if images[y] is not None:
                     continue
                 if image_targets is None:
                     ci, di = c[i], d[i]
-                    image_targets = tensor.targets((ci[0], di[0]))
+                    counts = ci[0], di[0]
+                    image_targets = rule.get(counts) or rule.setdefault(counts, tensor.targets(counts))
                 k = image_targets[side]
                 if k is None:
-                    raise RuntimeError(f"operator path broke at {x!r} color {i}; sides not isomorphic")
-                img_y = (ci[1 + side], image[1]) if k == 0 else (image[0], di[1 + side])
-                step = 1 - 2 * j if i == 0 and j == k else 0
-                known[y] = (img_y, h + sign * step)
+                    raise RuntimeError(f"operator path broke at {(elements1[p], elements2[q])!r} color {i}; sides not isomorphic")
+                images[y] = ci[1 + side] * n1 + v if k == 0 else image - v + di[1 + side]
+                energies[y] = h + sign * (1 - 2 * j if i == 0 and j == k else 0)
                 queue.append(y)
-    if len(known) != len(elements1) * len(elements2):
+    if len(queue) != n1 * n2:
         raise RuntimeError(f"affine crystal graph on B_{l1} (x) B_{l2} is not connected for n={n}")
-    return {(elements1[p], elements2[q]): ((elements2[u], elements1[v]), h) for (p, q), ((u, v), h) in known.items()}
+    return {(elements1[x // n2], elements2[x % n2]): ((elements2[images[x] // n1], elements1[images[x] % n1]), energies[x]) for x in queue}
 
 
 def iso_oracle(b, bp, n):

@@ -1,11 +1,12 @@
 """Shared fixtures: golden displays, seeded random-state builders, a broken R-matrix,
-the sign-list tensor operators, the pairing in any order and the ball-moving rule."""
+the sign-list tensor operators, the pairing in any order, the pass-per-l spectrum
+and the ball-moving rule."""
 
 import random
 from bisect import bisect_left
 
 from boxball import crystal, tensor
-from boxball.dynamics import State
+from boxball.dynamics import EnergySpectrum, State, energy
 from boxball.rmatrix import Pairing, iso_with_energy
 from boxball.solitons import state_with_solitons
 
@@ -115,6 +116,17 @@ def pair_in_order(b, bp, order):
         j = bisect_left(free, v) - 1
         pairs.append((v, free.pop(j), False) if j >= 0 else (v, free.pop(), True))
     return Pairing(tuple(pairs), tuple(free))
+
+
+def reference_spectrum(p):
+    """`dynamics.spectrum` by one carrier pass for each l = 1, 2, ... until E_l = E_{l-1}."""
+    e = {0: 0, 1: energy(p, 1)}
+    l = 1
+    while e[l] != e[l - 1]:
+        l += 1
+        e[l] = energy(p, l)
+    nvals = {k: -e[k - 1] + 2 * e[k] - e.get(k + 1, e[k]) for k in range(1, l + 1)}
+    return EnergySpectrum(e, nvals)
 
 
 def _move_balls(p, colors, step):

@@ -29,6 +29,7 @@ from helpers import (
     ball_moving_step,
     letters,
     random_state,
+    reference_spectrum,
     seeded,
 )
 
@@ -200,6 +201,30 @@ def test_spectrum_matches_full_sweep(p):
     # the sweep stops at the first l with E_l = E_{l-1}, at most #letters + 1
     last = len(spec.n_values)
     assert [l for l in range(1, top + 1) if e[l] == e[l - 1]][0] == last <= p.nonvacuum_count + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(states(max_cells=40))
+def test_spectrum_matches_reference_loop(p):
+    # the same records, keys in the same order, with one pass fewer than the
+    # pass-per-l loop unless the state is empty: E_l = #letters at the
+    # longest soliton length L, so E_{L+1} needs no pass
+    expected = reference_spectrum(p)
+    passes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "energy", lambda q, l: passes.append(l) or energy(q, l))
+        spec = spectrum(p)
+    assert list(spec.e_values.items()) == list(expected.e_values.items())
+    assert list(spec.n_values.items()) == list(expected.n_values.items())
+    assert passes == list(range(1, max(2, len(expected.n_values))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(states(max_cells=40))
+def test_energy_at_the_letter_count_is_the_letter_count(p):
+    # E_l = sum of min(l, length) over the solitons, and no soliton is longer than #letters
+    k = p.nonvacuum_count
+    assert k == 0 or energy(p, k) == k
 
 
 def ten_elimination(p):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from bisect import bisect_right
 
@@ -52,6 +53,17 @@ def test_pairing_examples():
     p = pair((4, 4, 4), (4, 4))
     assert winding_count(p) == 2
     assert p.unpaired == (4,)
+
+
+def test_pairing_matches_reference_loop():
+    # pair_in_order taking the right letters largest first is the loop that
+    # once built the triples, wound flags included; pair derives the flags
+    for n in (2, 3, 4, 5):
+        for l1 in (1, 2, 3, 4):
+            for l2 in range(1, l1 + 1):
+                for b in crystal.elements(l1, n):
+                    for bp in crystal.elements(l2, n):
+                        assert pair(b, bp) == pair_in_order(b, bp, range(l2 - 1, -1, -1))
 
 
 def test_pairing_requires_left_at_least_as_long():
@@ -259,6 +271,26 @@ def test_oracle_reads_only_the_crystal_graph(monkeypatch):
     try:
         for size in sizes:
             assert oracle_table(*size) == expected[size]
+    finally:
+        oracle_table.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        # f_i acts on the left factor whenever it has a plus: on ((1, 2), (2,))
+        # f_0 acts on the left factor, but not on its image ((1,), (2, 2))
+        (lambda counts: (None, 0 if counts[0][1] else None), "operator path broke at ((1, 2), (2,)) color 0;"),
+        # no operator acts anywhere, so the walk never leaves the all-vacuum pair
+        (lambda counts: (None, None), "affine crystal graph on B_2 (x) B_1 is not connected for n=2"),
+    ],
+)
+def test_oracle_reports_a_broken_graph(monkeypatch, rule, message):
+    monkeypatch.setattr(tensor, "targets", rule)
+    oracle_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            oracle_table(2, 1, 2)
     finally:
         oracle_table.cache_clear()
 
