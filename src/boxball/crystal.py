@@ -21,7 +21,7 @@ def validate_element(b, n):
     if not isinstance(b, tuple) or not b:
         raise ValueError(f"element must be a nonempty tuple of letters, got {b!r}")
     for x in b:
-        if not isinstance(x, int) or not 1 <= x <= n:
+        if type(x) is not int or not 1 <= x <= n:
             raise ValueError(f"letter {x!r} out of range 1..{n}")
     if any(a > c for a, c in zip(b, b[1:])):
         raise ValueError(f"letters must be weakly increasing, got {b!r}")

@@ -18,8 +18,8 @@ pass costs O(n) per cell whatever l is.  T_l^-1 is T_l conjugated by the
 x < n with n - x.  `states` streams the state after each pass of a run,
 unchecked, counting T's capacity once per run and keeping only the current
 cells; `trajectory`, the CLI and `run_scattering` are views of it, and
-`h_values` reads a pass's h off its two states.  `evolve` and
-`evolve_inverse` run the same passes but build only the last state.
+`h_values` reads a pass's h off its two states.  `evolve` is the last
+state of `states`, and `evolve_inverse` is M `evolve` M.
 """
 
 from operator import gt
@@ -215,31 +215,26 @@ def energy(p, l):
     return len(out) - len(p.cells) + sum(map(gt, p.cells, out))
 
 
-def _passes(cells, n, l, steps):
-    """Yield the cells after passes 1, 2, ..., steps of T_l.
-
-    l None means T, at capacity max(1, #letters), counted once because
-    every pass conserves the letters.
-    """
-    if l is None:
-        l = max(1, len(cells) - cells.count(n))
-    for _ in range(steps):
-        cells = _sweep(cells, n, l)
-        yield cells
-
-
 def states(p, capacity=None, steps=1):
     """The states after passes 1, 2, ..., steps of T_capacity, as a lazy iterator.
 
     capacity None means the full evolution T: one carrier pass per step at
     capacity max(1, #letters), where T_l has saturated (T_l = T for every
-    l >= #letters).  The capacity and step count are checked on the call,
-    before the first pass.  Each state is built from the carrier's output
-    without re-checking its letters.
+    l >= #letters), counted once because every pass conserves the letters.
+    The capacity and step count are checked on the call, before the first
+    pass.  Each state is built from the carrier's output without re-checking
+    its letters.
     """
     _check_run(capacity, steps)
     n, origin = p.n, p.origin
-    return (State._trusted(tuple(cells), n, origin) for cells in _passes(p.cells, n, capacity, steps))
+    l = max(1, p.nonvacuum_count) if capacity is None else capacity
+
+    def run(cells):
+        for _ in range(steps):
+            cells = tuple(_sweep(cells, n, l))
+            yield State._trusted(cells, n, origin)
+
+    return run(p.cells)
 
 
 def trajectory(p, capacity=None, steps=1):
@@ -249,16 +244,14 @@ def trajectory(p, capacity=None, steps=1):
 
 
 def evolve(p, capacity=None, steps=1):
-    """The state after `steps` applications of T_capacity (T itself when None).
+    """The state after `steps` applications of T_capacity (T itself when None): the last of `states`.
 
-    Only the current cells are kept, so memory does not grow with `steps`.
-    The result is built from the carrier's output without re-checking it.
+    Only the current state is kept, so memory does not grow with `steps`.
     """
-    _check_run(capacity, steps)
-    cells = p.cells
-    for cells in _passes(cells, p.n, capacity, steps):
+    q = p
+    for q in states(p, capacity, steps):
         pass
-    return State._trusted(tuple(cells), p.n, p.origin)
+    return q
 
 
 def mirror(p):
@@ -277,13 +270,7 @@ def evolve_inverse(p, l, steps=1):
     T_l^-1 = M T_l M for the `mirror` M, so (T_l^-1)^k = M T_l^k M: the run
     mirrors once at each end, not at every step.
     """
-    _check_run(l, steps)
-    m = mirror(p)
-    cells = m.cells
-    for cells in _passes(cells, p.n, l, steps):
-        pass
-    # the mirror reads only the order and number of the cells, so a list will do
-    return mirror(State._trusted(cells, p.n, m.origin))
+    return mirror(evolve(mirror(p), l, steps))
 
 
 class EnergySpectrum(NamedTuple):

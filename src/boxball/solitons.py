@@ -126,9 +126,7 @@ def predict_m_body(labels, order=None):
     """
     labels = list(labels)
     lengths = [len(x.b) for x in labels]
-    if len(set(lengths)) != len(lengths):
-        raise ValueError(f"equal-length solitons are not supported, got lengths {lengths}")
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
+    if any(a <= b for a, b in zip(lengths, lengths[1:])):
         raise ValueError(f"lengths must be strictly decreasing, got {lengths}")
     if order is None:
         order = [i for k in range(len(labels) - 1, 0, -1) for i in range(k)]

@@ -82,11 +82,9 @@ def targets(counts):
 
 
 def _targets(t, i, n):
-    """`targets` of a tensor element, from the letter counts of its factors."""
+    """`targets` of a tensor element, from its factors' epsilon_i and phi_i."""
     crystal.check_color(i, n)
-    minus = i + 1
-    plus = n if i == 0 else i
-    return targets([(b.count(minus), b.count(plus)) for b in t])
+    return targets([(crystal.epsilon(b, i, n), crystal.phi(b, i, n)) for b in t])
 
 
 def tensor_e(t, i, n):

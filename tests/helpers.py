@@ -1,13 +1,14 @@
 """Shared fixtures: golden displays, seeded random-state builders, a broken R-matrix,
-the sign-list tensor operators, the pairing in any order, the pass-per-l spectrum
-and the ball-moving rule."""
+the sign-list tensor operators, the pairing in any order, the pass-per-l spectrum,
+the ball-moving rule and the carrier folded from the crystal graph."""
 
 import random
 from bisect import bisect_left
+from functools import cache
 
 from boxball import crystal, tensor
 from boxball.dynamics import EnergySpectrum, State, energy
-from boxball.rmatrix import Pairing, iso_with_energy
+from boxball.rmatrix import Pairing, iso_with_energy, oracle_table
 from boxball.solitons import state_with_solitons
 
 # Three solitons of lengths 3, 2, 1 scattering over seven time steps.
@@ -156,3 +157,58 @@ def ball_moving_step(p):
 def ball_moving_inverse(p):
     """T^-1 by the mirrored rule, trimmed: colors 1 up to n-1, rightmost ball first, each to the left."""
     return _move_balls(p, range(1, p.n), -1)
+
+
+_oracle_table = cache(oracle_table)
+
+
+def oracle_pass(p, l):
+    """One step of T_l from the crystal graph: (out state, H of each exchange).
+
+    Folds the exchange B_l (x) B_1 -> B_1 (x) B_l of `oracle_table`, which
+    never calls the pairing, over the cells left to right from the
+    all-vacuum carrier, appending vacuum cells until the carrier is all
+    vacuum again.
+    """
+    n = p.n
+    table = _oracle_table(l, 1, n)
+    vacuum = (n,) * l
+    carrier = vacuum
+    out = []
+    hs = []
+    for v in p.cells:
+        ((w,), carrier), h = table[(carrier, (v,))]
+        out.append(w)
+        hs.append(h)
+    while carrier != vacuum:
+        assert len(out) < len(p.cells) + l, "oracle carrier failed to drain"
+        ((w,), carrier), h = table[(carrier, (n,))]
+        out.append(w)
+        hs.append(h)
+    return State(out, n, p.origin), tuple(hs)
+
+
+def oracle_inverse(p, l):
+    """One step of T_l^-1 from the crystal graph.
+
+    Folds the exchange B_1 (x) B_l -> B_l (x) B_1 of `oracle_table` over the
+    cells right to left from the all-vacuum carrier, prepending vacuum
+    cells until the carrier drains; the origin drops by one per prepended
+    cell.
+    """
+    n = p.n
+    table = _oracle_table(1, l, n)
+    vacuum = (n,) * l
+    carrier = vacuum
+    out = []
+    for v in reversed(p.cells):
+        (carrier, (w,)), _ = table[((v,), carrier)]
+        out.append(w)
+    prepended = 0
+    while carrier != vacuum:
+        assert prepended < l, "oracle inverse carrier failed to drain"
+        (carrier, (w,)), _ = table[((n,), carrier)]
+        out.append(w)
+        prepended += 1
+    out.reverse()
+    return State(out, n, p.origin - prepended)

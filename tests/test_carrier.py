@@ -6,15 +6,17 @@ carrier drains: one exchange per cell at O(l) each.  The forward pass
 exchanges through `iso_single`, the inverse through the general map with
 the letter on the left, `iso_with_energy((v,), carrier)`.  The library's
 sweep must agree with them letter for letter, and the h values and E_l it
-reads off the cells in and out must equal the R-matrix's.
+reads off the cells in and out must equal the R-matrix's.  The same folds
+over `oracle_table`'s exchanges, read from the crystal graph alone, check
+T_l and T_l^-1 without the pairing.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxball.dynamics import State, carrier_pass, energy, evolve, evolve_inverse
+from boxball.dynamics import State, carrier_pass, energy, evolve, evolve_inverse, h_values
 from boxball.rmatrix import iso_single, iso_with_energy
-from helpers import acceptance_ensemble
+from helpers import acceptance_ensemble, oracle_inverse, oracle_pass
 
 
 def reference_pass(p, l):
@@ -100,6 +102,16 @@ def test_carrier_matches_tuple_reference(p, data):
     # the comma text form (n > 9) carries the output too
     out = carrier_pass(p, l).out_state
     assert State.from_text(out.to_text(), p.n) == out
+
+
+@settings(max_examples=300, deadline=None)
+@given(states(n_max=5, max_cells=25), st.integers(1, 4))
+def test_carrier_matches_crystal_graph(p, l):
+    out, hs = oracle_pass(p, l)
+    assert evolve(p, l) == out
+    assert h_values(p, out) == hs
+    assert energy(p, l) == -sum(hs)
+    assert evolve_inverse(p, l) == oracle_inverse(p, l)
 
 
 def test_full_inverse_undoes_full_evolution():

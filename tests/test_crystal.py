@@ -103,6 +103,14 @@ def test_color_validation():
         crystal.epsilon((1, 2), -1, 4)
 
 
+def test_element_validation():
+    crystal.validate_element((1, 2, 2), 4)
+    # a bool is not a letter, though it is an int to isinstance
+    for b in ((True, 2), (1, True)):
+        with pytest.raises(ValueError, match="^letter True out of range 1..4$"):
+            crystal.validate_element(b, 4)
+
+
 def test_parse_format():
     assert crystal.parse_element("11334", 4) == (1, 1, 3, 3, 4)
     assert crystal.format_element((1, 1, 3, 3, 4), 4) == "11334"

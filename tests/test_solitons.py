@@ -94,8 +94,10 @@ def test_predict_m_body():
     assert predict_m_body(IN_LABELS) == OUT_LABELS
     assert predict_m_body((Affine(-3, (1, 2)),)) == (Affine(-3, (1, 2)),)
     assert predict_m_body(IN_LABELS, order=(1, 0, 1)) == OUT_LABELS
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("lengths must be strictly decreasing, got [2, 2]")):
         predict_m_body((Affine(0, (1, 1)), Affine(0, (2, 2))))
+    with pytest.raises(ValueError, match=re.escape("lengths must be strictly decreasing, got [3, 1, 3]")):
+        predict_m_body((Affine(0, (1, 1, 2)), Affine(0, (3,)), Affine(0, (1, 2, 3))))
     with pytest.raises(ValueError):
         predict_m_body(IN_LABELS, order=(0, 1))
 
