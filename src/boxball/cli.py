@@ -101,21 +101,14 @@ def _each_state(args):
 
 
 def cmd_evolve(args):
+    """The rows of `evolve`, or of `inverse` with args.inverse set, which has no --show-h."""
     for state in _each_state(args):
         print(state.to_text())
-        for q in dynamics.states(state, args.capacity, args.steps):
+        for q in dynamics.states(state, args.capacity, args.steps, inverse=args.inverse):
             print(q.to_text())
             if args.show_h:
                 print("# H=" + "".join(str(-h) for h in dynamics.h_values(state, q)))
             state = q
-    return 0
-
-
-def cmd_inverse(args):
-    for state in _each_state(args):
-        print(state.to_text())
-        for q in dynamics.states(dynamics.mirror(state), args.capacity, args.steps):
-            print(dynamics.mirror(q).to_text())
     return 0
 
 
@@ -220,13 +213,13 @@ def build_parser():
     p.add_argument("--capacity", type=_capacity, default=None, help="carrier capacity, or 'inf' (default)")
     p.add_argument("--steps", type=_at_least(0), default=1)
     p.add_argument("--show-h", action="store_true", help="print the local H values after each row")
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(func=cmd_evolve, inverse=False)
 
     p = sub.add_parser("inverse", help="apply the inverse time evolution")
     common(p)
     p.add_argument("--capacity", type=_capacity, required=True, help="carrier capacity, or 'inf' to undo T")
     p.add_argument("--steps", type=_at_least(0), default=1)
-    p.set_defaults(func=cmd_inverse)
+    p.set_defaults(func=cmd_evolve, inverse=True, show_h=False)
 
     p = sub.add_parser("energy", help="print the E_l / N_l table of states")
     common(p)

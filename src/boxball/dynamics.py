@@ -13,13 +13,17 @@ longest soliton, so the spectrum sweeps l only until it does.
 The carrier is an element of B_l stored as counts of the letters 1..n-1
 it holds (its load), the other l - load letters being the vacuum n.  Its
 exchange with one cell is the R-matrix B_l (x) B_1 -> B_1 (x) B_l, so a
-pass costs O(n) per cell whatever l is.  T_l^-1 is T_l conjugated by the
-`mirror`, which reflects a state about position 0 and swaps each letter
-x < n with n - x.  `states` streams the state after each pass of a run,
-unchecked, counting T's capacity once per run and keeping only the current
-cells; `trajectory`, the CLI and `run_scattering` are views of it, and
-`h_values` reads a pass's h off its two states.  `evolve` is the last
-state of `states`, and `evolve_inverse` is M `evolve` M.
+pass costs O(n) per cell whatever l is.  A pass of T_l^-1 threads the
+same carrier right to left through the inverse exchange
+B_1 (x) B_l -> B_l (x) B_1 and drains it on the left.  Its rule is that of
+T_l with the order of the letters 1..n-1 reversed, because T_l^-1 is T_l
+conjugated by the mirror, which reflects a state about position 0 and
+swaps each letter x < n with n - x.  `states` streams the state after each
+pass of a run, either way, unchecked, counting T's capacity once per run
+and keeping only the current cells; `trajectory`, the CLI and
+`run_scattering` are views of it, and `h_values` reads a pass's h off its
+two states.  `evolve` and `evolve_inverse` are the last states of the
+forward and the inverse stream.
 """
 
 from operator import gt
@@ -149,11 +153,12 @@ def _sweep(cells, n, l):
     """Thread a capacity-l carrier through `cells` and drain it on the right.
 
     Returns the emitted letters, one per cell.  A cell v meets the carrier
-    as follows: if it holds a letter below v, the largest such letter
-    leaves and v joins; otherwise, below capacity, v joins and a vacuum
-    leaves; otherwise the largest held letter leaves and v joins.  A vacuum
-    cell never joins, so the drain over appended vacuum cells emits the
-    held letters largest first, one per cell.
+    as follows: an empty carrier takes a letter; a vacuum takes out the
+    largest held letter; a letter v swaps for the largest held letter
+    below v; otherwise, below capacity, v joins and a vacuum leaves;
+    otherwise the largest held letter leaves and v joins.  A vacuum cell
+    never joins, so the drain over appended vacuum cells emits the held
+    letters largest first, one per cell.
     """
     held = [0] * n  # held[x] counts the letter x in 1..n-1; held[0] stays 0
     load = 0
@@ -165,15 +170,20 @@ def _sweep(cells, n, l):
                 held[v] = load = 1
             emit(n)
             continue
+        if v == n:
+            x = n - 1
+            while not held[x]:
+                x -= 1
+            held[x] -= 1
+            load -= 1
+            emit(x)
+            continue
         x = v - 1
         while x and not held[x]:
             x -= 1
         if x:
             held[x] -= 1
-            if v == n:
-                load -= 1
-            else:
-                held[v] += 1
+            held[v] += 1
             emit(x)
         elif load < l:
             held[v] += 1
@@ -188,6 +198,60 @@ def _sweep(cells, n, l):
             emit(x)
     for x in range(n - 1, 0, -1):
         out += [x] * held[x]
+    return out
+
+
+def _sweep_back(cells, n, l):
+    """Thread a capacity-l carrier through `cells` right to left and drain it on the left: a pass of T_l^-1.
+
+    Returns all the letters left to right, the drained ones first.  The rule
+    is that of `_sweep` with the order of the letters reversed: an empty
+    carrier takes a letter; a vacuum takes out the smallest held letter; a
+    letter v swaps for the smallest held letter above v; otherwise, below
+    capacity, v joins and a vacuum leaves; otherwise the smallest held
+    letter leaves and v joins.  The drain over prepended vacuum cells emits
+    the held letters smallest first, so the largest ends leftmost.
+    """
+    held = [0] * (n + 1)  # held[x] counts the letter x in 1..n-1
+    held[n] = 1  # stops the scan for a held letter above v
+    load = 0
+    out = []
+    emit = out.append
+    for v in reversed(cells):
+        if not load:
+            if v != n:
+                held[v] = load = 1
+            emit(n)
+            continue
+        if v == n:
+            x = 1
+            while not held[x]:
+                x += 1
+            held[x] -= 1
+            load -= 1
+            emit(x)
+            continue
+        x = v + 1
+        while not held[x]:
+            x += 1
+        if x != n:
+            held[x] -= 1
+            held[v] += 1
+            emit(x)
+        elif load < l:
+            held[v] += 1
+            load += 1
+            emit(n)
+        else:
+            x = 1
+            while not held[x]:
+                x += 1
+            held[x] -= 1
+            held[v] += 1
+            emit(x)
+    for x in range(1, n):
+        out += [x] * held[x]
+    out.reverse()
     return out
 
 
@@ -215,26 +279,32 @@ def energy(p, l):
     return len(out) - len(p.cells) + sum(map(gt, p.cells, out))
 
 
-def states(p, capacity=None, steps=1):
-    """The states after passes 1, 2, ..., steps of T_capacity, as a lazy iterator.
+def states(p, capacity=None, steps=1, *, inverse=False):
+    """The states after passes 1, 2, ..., steps of T_capacity, or of its inverse, as a lazy iterator.
 
     capacity None means the full evolution T: one carrier pass per step at
     capacity max(1, #letters), where T_l has saturated (T_l = T for every
     l >= #letters), counted once because every pass conserves the letters.
-    The capacity and step count are checked on the call, before the first
-    pass.  Each state is built from the carrier's output without re-checking
-    its letters.
+    With `inverse` each pass is one of T_capacity^-1, right to left, and
+    the origin moves left by the cells its drain prepends.  The capacity
+    and step count are checked on the call, before the first pass.  Each
+    state is built from the carrier's output without re-checking its
+    letters.
     """
     _check_run(capacity, steps)
-    n, origin = p.n, p.origin
+    n = p.n
     l = max(1, p.nonvacuum_count) if capacity is None else capacity
+    sweep = _sweep_back if inverse else _sweep
 
-    def run(cells):
+    def run(cells, origin):
         for _ in range(steps):
-            cells = tuple(_sweep(cells, n, l))
+            out = sweep(cells, n, l)
+            if inverse:
+                origin -= len(out) - len(cells)
+            cells = tuple(out)
             yield State._trusted(cells, n, origin)
 
-    return run(p.cells)
+    return run(p.cells, p.origin)
 
 
 def trajectory(p, capacity=None, steps=1):
@@ -254,23 +324,17 @@ def evolve(p, capacity=None, steps=1):
     return q
 
 
-def mirror(p):
-    """The state reflected about position 0, each letter x < n swapped for n - x.
-
-    The letter at absolute position x moves to -x, so the window starting at
-    `origin` starts at 1 - origin - len(cells).  The mirror is an involution.
-    """
-    swap = (*range(p.n, 0, -1), p.n)
-    return State._trusted(tuple([swap[x] for x in reversed(p.cells)]), p.n, 1 - p.origin - len(p.cells))
-
-
 def evolve_inverse(p, l, steps=1):
-    """Undo T_l (T itself when l is None, at capacity max(1, #letters)).
+    """The state after `steps` applications of T_l^-1 (T^-1 when l is None): the last of `states` with `inverse`.
 
-    T_l^-1 = M T_l M for the `mirror` M, so (T_l^-1)^k = M T_l^k M: the run
-    mirrors once at each end, not at every step.
+    Each pass threads the carrier right to left and drains it on the left,
+    so the window grows leftward.  Only the current state is kept, as in
+    `evolve`.
     """
-    return mirror(evolve(mirror(p), l, steps))
+    q = p
+    for q in states(p, l, steps, inverse=True):
+        pass
+    return q
 
 
 class EnergySpectrum(NamedTuple):

@@ -1,6 +1,6 @@
 """Shared fixtures: golden displays, seeded random-state builders, a broken R-matrix,
 the sign-list tensor operators, the pairing in any order, the pass-per-l spectrum,
-the ball-moving rule and the carrier folded from the crystal graph."""
+the ball-moving rule, the mirror and the carrier folded from the crystal graph."""
 
 import random
 from bisect import bisect_left
@@ -157,6 +157,17 @@ def ball_moving_step(p):
 def ball_moving_inverse(p):
     """T^-1 by the mirrored rule, trimmed: colors 1 up to n-1, rightmost ball first, each to the left."""
     return _move_balls(p, range(1, p.n), -1)
+
+
+def mirror(p):
+    """The state reflected about position 0, each letter x < n swapped for n - x.
+
+    The letter at absolute position x moves to -x, so the window starting at
+    `origin` starts at 1 - origin - len(cells).  The mirror is an involution,
+    and T_l^-1 = M T_l M ties the inverse pass to the forward one.
+    """
+    swap = (*range(p.n, 0, -1), p.n)
+    return State([swap[x] for x in reversed(p.cells)], p.n, 1 - p.origin - len(p.cells))
 
 
 _oracle_table = cache(oracle_table)

@@ -16,7 +16,6 @@ from boxball.dynamics import (
     evolve,
     evolve_inverse,
     h_values,
-    mirror,
     spectrum,
     trajectory,
 )
@@ -28,6 +27,7 @@ from helpers import (
     ball_moving_inverse,
     ball_moving_step,
     letters,
+    mirror,
     random_state,
     reference_spectrum,
     seeded,
@@ -171,10 +171,10 @@ def test_state_text_round_trip_property(p):
 @settings(max_examples=300, deadline=None)
 @given(states(max_n=12, max_origin=5), st.one_of(st.none(), st.integers(1, 6)))
 def test_library_built_states_pass_validation(p, l):
-    # trim, mirror, states, evolve, trajectory and evolve_inverse build their
+    # trim, states, evolve, trajectory and evolve_inverse build their
     # results without re-checking the cells; the checking constructor must
     # accept each unchanged
-    built = [p.trim(), mirror(p), evolve_inverse(p, l, 1), evolve_inverse(p, l, 2), *dynamics.states(p, l, 3)]
+    built = [p.trim(), evolve_inverse(p, l, 1), evolve_inverse(p, l, 2), *dynamics.states(p, l, 3)]
     for k in range(4):
         built.append(evolve(p, l, k))
         built += [trace.out_state for trace in trajectory(p, l, k)]
@@ -410,23 +410,27 @@ def test_mirror_conjugates_evolution_into_its_inverse(p, l, k):
     assert evolve_inverse(p, l, k) == mirror(evolve(mirror(p), l, k))
 
 
-@settings(max_examples=300, deadline=None)
-@given(windows(), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5))
-def test_states_stream_each_step(p, l, k):
-    # the stream is lazy, checked on the call, and its h are those of each pass
-    stream = dynamics.states(p, l, k)
+@settings(max_examples=600, deadline=None)
+@given(windows(), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5), st.booleans())
+def test_states_stream_each_step(p, l, k, inverse):
+    # the stream is lazy, checked on the call, and its h are those of each
+    # forward pass; 600 examples give each direction about 300
+    stream = dynamics.states(p, l, k, inverse=inverse)
     assert iter(stream) is stream
     qs = list(stream)
-    assert qs == [evolve(p, l, j) for j in range(1, k + 1)]
-    assert [h_values(prev, q) for prev, q in zip([p, *qs], qs)] == [t.h_values for t in trajectory(p, l, k)]
+    assert qs == [(evolve_inverse if inverse else evolve)(p, l, j) for j in range(1, k + 1)]
+    if not inverse:
+        assert [h_values(prev, q) for prev, q in zip([p, *qs], qs)] == [t.h_values for t in trajectory(p, l, k)]
 
 
-PRIVATE = {"_passes", "_sweep", "_mirror", "_unmirrored", "_h_values", "_trusted"}
+PRIVATE = {"_sweep", "_sweep_back", "_trusted"}
 
 
 def test_only_dynamics_drives_the_passes():
-    # the other modules read a run through states, mirror and h_values, and
-    # never build a state unchecked
+    # the other modules read a run through states and h_values, and never
+    # build a state unchecked; a name listed here must exist, or the guard is stale
+    for name in PRIVATE:
+        assert hasattr(dynamics, name) or hasattr(State, name), name
     modules = sorted(Path(dynamics.__file__).parent.glob("*.py"))
     assert {"cli.py", "solitons.py"} <= {path.name for path in modules}
     for path in modules:
@@ -479,6 +483,10 @@ def test_capacity_validation():
         dynamics.states(p, 0)
     with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -1$"):
         dynamics.states(p, 2, -1)
+    with pytest.raises(ValueError, match="^carrier capacity must be an integer >= 1, got 0$"):
+        dynamics.states(p, 0, inverse=True)
+    with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -1$"):
+        dynamics.states(p, 2, -1, inverse=True)
     # the capacity is checked before the first step, zero steps included
     for step, capacity in ((evolve, 0), (trajectory, -1), (evolve, 2.5), (evolve_inverse, 0), (dynamics.states, 0)):
         with pytest.raises(ValueError, match=f"^carrier capacity must be an integer >= 1, got {capacity}$"):
@@ -492,3 +500,8 @@ def test_capacity_validation():
         for steps in (True, 2.5, "2"):
             with pytest.raises(ValueError, match=f"^steps must be an integer >= 0, got {re.escape(repr(steps))}$"):
                 step(p, 1, steps)
+    for value in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match=f"^carrier capacity must be an integer >= 1, got {re.escape(repr(value))}$"):
+            dynamics.states(p, value, inverse=True)
+        with pytest.raises(ValueError, match=f"^steps must be an integer >= 0, got {re.escape(repr(value))}$"):
+            dynamics.states(p, 1, value, inverse=True)
