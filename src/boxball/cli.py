@@ -124,6 +124,8 @@ def cmd_energy(args):
 
 
 def cmd_rmatrix(args):
+    if args.pair is not None and args.file is not None:
+        raise CliError("give a pair or --file, not both")
     inputs = [("pair", args.pair)] if args.pair is not None else [(f"line {i}", line) for i, line in _read_lines(args)]
     for where, text in inputs:
         try:
@@ -204,9 +206,10 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="boxball", description="Box-ball system toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, reads_input=True):
         p.add_argument("--n", type=_alphabet_size, required=True, help="alphabet size (vacuum letter is n)")
-        p.add_argument("--file", help="read input from a file instead of stdin")
+        if reads_input:
+            p.add_argument("--file", help="read input from a file instead of stdin")
 
     p = sub.add_parser("evolve", help="apply the time evolution to states")
     common(p)
@@ -232,7 +235,7 @@ def build_parser():
     p.set_defaults(func=cmd_rmatrix)
 
     p = sub.add_parser("ybe", help="exhaustively check the Yang-Baxter equation")
-    common(p)
+    common(p, reads_input=False)
     p.add_argument("--sizes", required=True, help="three comma-separated sizes, e.g. 3,2,1")
     p.set_defaults(func=cmd_ybe)
 

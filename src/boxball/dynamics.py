@@ -18,12 +18,14 @@ same carrier right to left through the inverse exchange
 B_1 (x) B_l -> B_l (x) B_1 and drains it on the left.  Its rule is that of
 T_l with the order of the letters 1..n-1 reversed, because T_l^-1 is T_l
 conjugated by the mirror, which reflects a state about position 0 and
-swaps each letter x < n with n - x.  `states` streams the state after each
-pass of a run, either way, unchecked, counting T's capacity once per run
-and keeping only the current cells; `trajectory`, the CLI and
-`run_scattering` are views of it, and `h_values` reads a pass's h off its
-two states.  `evolve` and `evolve_inverse` are the last states of the
-forward and the inverse stream.
+swaps each letter x < n with n - x.  So one kernel, `_sweep`, serves both
+directions and `energy`: for the inverse it reverses only its order of
+cells and the direction of its scans over the letters.  `states` streams
+the state after each pass of a run, either way, unchecked, counting T's
+capacity once per run and keeping only the current cells; `trajectory`,
+the CLI and `run_scattering` are views of it, and `h_values` reads a
+pass's h off its two states.  `evolve` and `evolve_inverse` are the last
+states of the forward and the inverse stream.
 """
 
 from operator import gt
@@ -149,92 +151,46 @@ def _check_run(capacity, steps, name="steps"):
         raise ValueError(f"{name} must be an integer >= 0, got {steps!r}")
 
 
-def _sweep(cells, n, l):
-    """Thread a capacity-l carrier through `cells` and drain it on the right.
+def _sweep(cells, n, l, inverse=False):
+    """Thread a capacity-l carrier through `cells`, a pass of T_l, or of T_l^-1 with `inverse`.
 
-    Returns the emitted letters, one per cell.  A cell v meets the carrier
-    as follows: an empty carrier takes a letter; a vacuum takes out the
-    largest held letter; a letter v swaps for the largest held letter
-    below v; otherwise, below capacity, v joins and a vacuum leaves;
-    otherwise the largest held letter leaves and v joins.  A vacuum cell
-    never joins, so the drain over appended vacuum cells emits the held
+    Returns all the letters left to right, drained ones included.  Read in
+    the pass's own order of cells, and with the letters 1..n-1 in reverse
+    order for the inverse (T_l^-1 = M T_l M), a cell v meets the carrier as
+    follows: an empty carrier takes a letter; a vacuum takes out the
+    largest held letter; a letter v swaps for the largest held letter below
+    v; otherwise, below capacity, v joins and a vacuum leaves; otherwise
+    the largest held letter leaves and v joins.  A vacuum cell never joins,
+    so the drain over vacuum cells added after the last cell emits the held
     letters largest first, one per cell.
     """
-    held = [0] * n  # held[x] counts the letter x in 1..n-1; held[0] stays 0
-    load = 0
-    out = []
-    emit = out.append
-    for v in cells:
-        if not load:
-            if v != n:
-                held[v] = load = 1
-            emit(n)
-            continue
-        if v == n:
-            x = n - 1
-            while not held[x]:
-                x -= 1
-            held[x] -= 1
-            load -= 1
-            emit(x)
-            continue
-        x = v - 1
-        while x and not held[x]:
-            x -= 1
-        if x:
-            held[x] -= 1
-            held[v] += 1
-            emit(x)
-        elif load < l:
-            held[v] += 1
-            load += 1
-            emit(n)
-        else:
-            x = n - 1
-            while not held[x]:
-                x -= 1
-            held[x] -= 1
-            held[v] += 1
-            emit(x)
-    for x in range(n - 1, 0, -1):
-        out += [x] * held[x]
-    return out
-
-
-def _sweep_back(cells, n, l):
-    """Thread a capacity-l carrier through `cells` right to left and drain it on the left: a pass of T_l^-1.
-
-    Returns all the letters left to right, the drained ones first.  The rule
-    is that of `_sweep` with the order of the letters reversed: an empty
-    carrier takes a letter; a vacuum takes out the smallest held letter; a
-    letter v swaps for the smallest held letter above v; otherwise, below
-    capacity, v joins and a vacuum leaves; otherwise the smallest held
-    letter leaves and v joins.  The drain over prepended vacuum cells emits
-    the held letters smallest first, so the largest ends leftmost.
-    """
+    # in the pass's order of the letters, d steps from v towards the letters
+    # below it, top is the largest letter, and held[stop] = 1 ends the scan
+    # for a held letter below v
+    d, stop, top = (-1, n, 1) if inverse else (1, 0, n - 1)
     held = [0] * (n + 1)  # held[x] counts the letter x in 1..n-1
-    held[n] = 1  # stops the scan for a held letter above v
+    held[stop] = 1
     load = 0
     out = []
     emit = out.append
-    for v in reversed(cells):
+    for v in reversed(cells) if inverse else cells:
         if not load:
             if v != n:
                 held[v] = load = 1
             emit(n)
             continue
         if v == n:
-            x = 1
+            x = top
             while not held[x]:
-                x += 1
+                x -= d
             held[x] -= 1
             load -= 1
             emit(x)
             continue
-        x = v + 1
+        x = v - d
         while not held[x]:
-            x += 1
-        if x != n:
+            x -= d
+        if x != stop:
             held[x] -= 1
             held[v] += 1
             emit(x)
@@ -243,15 +199,16 @@ def _sweep_back(cells, n, l):
             load += 1
             emit(n)
         else:
-            x = 1
+            x = top
             while not held[x]:
-                x += 1
+                x -= d
             held[x] -= 1
             held[v] += 1
             emit(x)
-    for x in range(1, n):
+    for x in range(top, stop, -d):
         out += [x] * held[x]
-    out.reverse()
+    if inverse:
+        out.reverse()
     return out
 
 
@@ -294,11 +251,10 @@ def states(p, capacity=None, steps=1, *, inverse=False):
     _check_run(capacity, steps)
     n = p.n
     l = max(1, p.nonvacuum_count) if capacity is None else capacity
-    sweep = _sweep_back if inverse else _sweep
 
     def run(cells, origin):
         for _ in range(steps):
-            out = sweep(cells, n, l)
+            out = _sweep(cells, n, l, inverse)
             if inverse:
                 origin -= len(out) - len(cells)
             cells = tuple(out)

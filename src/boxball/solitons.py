@@ -194,7 +194,7 @@ def run_scattering(p, rule=None, max_steps=400):
         if now is not None:
             out = tuple(label(s, rule) for s in now)
             if [s.length for s in now] == want and all(
-                later is not None and tuple(label(s, rule) for s in later) == out for _, later in window
+                ahead is not None and tuple(label(s, rule) for s in ahead) == out for _, ahead in window
             ):
                 return ScatteringReport(
                     in_labels=in_labels,

@@ -271,6 +271,25 @@ def test_rmatrix_rejects_bad_input(monkeypatch, capsys):
     assert code == 2 and out == "" and err == "error: pair: bad element text '١٢'\n"
 
 
+def test_rmatrix_refuses_a_pair_and_a_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "pairs.txt"
+    path.write_text("1123|23\n")
+    for name in (path, tmp_path / "absent.txt"):
+        code, out, err = run_cli(["rmatrix", "--n", "4", "12|3", "--file", str(name)], monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out, err) == (2, "", "error: give a pair or --file, not both\n")
+    code, out, err = run_cli(["rmatrix", "--n", "4", "--file", str(path)], monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (0, "(12)|(1233) H=-2\n", "")
+
+
+def test_ybe_has_no_file_option(tmp_path, monkeypatch, capsys):
+    # ybe reads no input, so a --file would be ignored: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ybe", "--n", "3", "--sizes", "1,1,1", "--file", str(tmp_path / "absent.txt")], monkeypatch=monkeypatch, capsys=capsys)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "unrecognized arguments: --file" in err
+
+
 def test_ybe_command(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["ybe", "--n", "2", "--sizes", "1,1,1"], monkeypatch=monkeypatch, capsys=capsys

@@ -423,7 +423,7 @@ def test_states_stream_each_step(p, l, k, inverse):
         assert [h_values(prev, q) for prev, q in zip([p, *qs], qs)] == [t.h_values for t in trajectory(p, l, k)]
 
 
-PRIVATE = {"_sweep", "_sweep_back", "_trusted"}
+PRIVATE = {"_sweep", "_trusted"}
 
 
 def test_only_dynamics_drives_the_passes():
