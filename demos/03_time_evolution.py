@@ -7,23 +7,24 @@ sweep.  Minus their sum is E_l, which every other evolution preserves, and
 whose second differences count solitons by length.
 """
 
-from boxball.dynamics import State, energy, evolve, evolve_inverse, spectrum, trajectory
+from boxball.dynamics import State, energy, evolve, evolve_inverse, h_values, spectrum, states
 
 n = 4
 
 print("a single soliton of length 3 moves 3 cells per step under T:")
 state = State.from_text("....332.............", n)
 print(" ", state.to_text())
-for trace in trajectory(state, capacity=3, steps=3):
-    print(" ", trace.out_state.to_text())
+for q in states(state, 3, 3):
+    print(" ", q.to_text())
 print()
 
 print("three solitons scatter and reorder (lengths 3, 2, 1):")
 state = State.from_text("332...11...2..............", n)
 print(" ", state.to_text())
-for trace in trajectory(state, capacity=None, steps=6):
-    marks = "".join("^" if h else " " for h in trace.h_values)
-    print(" ", trace.out_state.to_text(), "  H picks:", marks.rstrip())
+for q in states(state, None, 6):
+    marks = "".join("^" if h else " " for h in h_values(state, q))
+    print(" ", q.to_text(), "  H picks:", marks.rstrip())
+    state = q
 print()
 
 p = State.from_text("332...11...2..............", n)

@@ -72,29 +72,25 @@ def _at_least(low):
 
 def _read_lines(args):
     try:
-        if args.file:
+        if args.file is not None:
             with open(args.file) as fh:
                 raw = fh.read().splitlines()
         else:
             raw = sys.stdin.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {'--file' if args.file else 'stdin'}: {exc}")
+        raise CliError(f"cannot read {'stdin' if args.file is None else '--file'}: {exc}")
     return [(i, line) for i, line in enumerate(raw, start=1) if line.strip() and not line.lstrip().startswith("#")]
 
 
-def _parse_states(args):
+def _each_state(args):
+    """The input states, all parsed before the first is yielded, with a blank line printed between consecutive ones."""
     states = []
     for lineno, line in _read_lines(args):
         try:
             states.append(State.from_text(line, args.n))
         except ValueError as exc:
             raise CliError(f"line {lineno}: {exc}")
-    return states
-
-
-def _each_state(args):
-    """The input states, with a blank line printed between consecutive ones."""
-    for k, state in enumerate(_parse_states(args)):
+    for k, state in enumerate(states):
         if k:
             print()
         yield state

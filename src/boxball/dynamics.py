@@ -22,7 +22,7 @@ swaps each letter x < n with n - x.  So one kernel, `_sweep`, serves both
 directions and `energy`: for the inverse it reverses only its order of
 cells and the direction of its scans over the letters.  `states` streams
 the state after each pass of a run, either way, unchecked, counting T's
-capacity once per run and keeping only the current cells; `trajectory`,
+capacity once per run and keeping only the current cells; `carrier_pass`,
 the CLI and `run_scattering` are views of it, and `h_values` reads a
 pass's h off its two states.  `evolve` and `evolve_inverse` are the last
 states of the forward and the inverse stream.
@@ -138,17 +138,17 @@ class CarrierTrace(NamedTuple):
     h_values: tuple
 
 
-def _check_capacity(l):
-    if type(l) is not int or l < 1:
-        raise ValueError(f"carrier capacity must be an integer >= 1, got {l!r}")
+def _check_int(name, value, low):
+    """Refuse anything but an int >= low; a bool is not an int here."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_run(capacity, steps, name="steps"):
     """Check a run's capacity (None for T) and step count before any pass runs."""
     if capacity is not None:
-        _check_capacity(capacity)
-    if type(steps) is not int or steps < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {steps!r}")
+        _check_int("carrier capacity", capacity, 1)
+    _check_int(name, steps, 0)
 
 
 def _sweep(cells, n, l, inverse=False):
@@ -225,13 +225,15 @@ def carrier_pass(p, l):
     back to all vacuum, so the trace always covers the full interaction.
     Each output cell has one h value in {-1, 0}, read by `h_values`.
     """
-    _check_capacity(l)
-    return trajectory(p, l)[0]
+    # states reads None as T, which a single pass of T_l must refuse
+    _check_int("carrier capacity", l, 1)
+    (q,) = states(p, l)
+    return CarrierTrace(q, h_values(p, q))
 
 
 def energy(p, l):
     """The conserved quantity E_l: minus the sum of `h_values`, counted without building them."""
-    _check_capacity(l)
+    _check_int("carrier capacity", l, 1)
     out = _sweep(p.cells, p.n, l)
     return len(out) - len(p.cells) + sum(map(gt, p.cells, out))
 
@@ -261,12 +263,6 @@ def states(p, capacity=None, steps=1, *, inverse=False):
             yield State._trusted(cells, n, origin)
 
     return run(p.cells, p.origin)
-
-
-def trajectory(p, capacity=None, steps=1):
-    """Apply the time evolution repeatedly, returning one CarrierTrace per state of `states`."""
-    qs = list(states(p, capacity, steps))
-    return [CarrierTrace(q, h_values(prev, q)) for prev, q in zip([p, *qs], qs)]
 
 
 def evolve(p, capacity=None, steps=1):

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import NamedTuple
 
-from .dynamics import State, _check_run, spectrum, states
+from .dynamics import State, _check_int, _check_run, spectrum, states
 from .rmatrix import Affine, iso_with_energy
 
 __all__ = [
@@ -179,7 +179,7 @@ def run_scattering(p, rule=None, max_steps=400):
     if rule is not None and len(lengths) > 1 and rule <= lengths[1]:
         raise ValueError(f"evolution rule must exceed the second-longest soliton, got {rule} <= {lengths[1]}")
     in_labels = tuple(label(s, rule) for s in sols)
-    predicted = predict_m_body(in_labels) if len(in_labels) > 1 else in_labels
+    predicted = predict_m_body(in_labels)
     tab_in = bump_tableau(p)
 
     want = sorted(lengths)
@@ -247,8 +247,7 @@ def state_with_solitons(placements, n, tail=2):
 
     `tail` vacuum cells follow the rightmost soliton.
     """
-    if type(tail) is not int or tail < 0:
-        raise ValueError(f"tail must be an integer >= 0, got {tail!r}")
+    _check_int("tail", tail, 0)
     if not placements:
         return State((n,) * tail, n)
     if any(pos < 0 for pos, _ in placements):

@@ -81,30 +81,25 @@ def targets(counts):
     return e, f
 
 
-def _targets(t, i, n):
-    """`targets` of a tensor element, from its factors' epsilon_i and phi_i."""
+def _act(t, i, n, side):
+    """e_i (side 0) or f_i (side 1) on a tensor element; None if undefined."""
+    if t is None:
+        return None
     crystal.check_color(i, n)
-    return targets([(crystal.epsilon(b, i, n), crystal.phi(b, i, n)) for b in t])
+    j = targets([(crystal.epsilon(b, i, n), crystal.phi(b, i, n)) for b in t])[side]
+    if j is None:
+        return None
+    return t[:j] + ((crystal.apply_f if side else crystal.apply_e)(t[j], i, n),) + t[j + 1 :]
 
 
 def tensor_e(t, i, n):
     """e_i on a tensor element via the signature rule; None if undefined."""
-    if t is None:
-        return None
-    j = _targets(t, i, n)[0]
-    if j is None:
-        return None
-    return t[:j] + (crystal.apply_e(t[j], i, n),) + t[j + 1 :]
+    return _act(t, i, n, 0)
 
 
 def tensor_f(t, i, n):
     """f_i on a tensor element via the signature rule; None if undefined."""
-    if t is None:
-        return None
-    j = _targets(t, i, n)[1]
-    if j is None:
-        return None
-    return t[:j] + (crystal.apply_f(t[j], i, n),) + t[j + 1 :]
+    return _act(t, i, n, 1)
 
 
 def format_tensor(t, n):

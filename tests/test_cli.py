@@ -120,6 +120,24 @@ def test_unreadable_input_is_an_error(name, message, tmp_path, monkeypatch, caps
     assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command,stdin",
+    [
+        (["evolve"], "332...11...2\n"),
+        (["inverse", "--capacity", "2"], "332...11...2\n"),
+        (["energy"], "332...11...2\n"),
+        (["rmatrix"], "1123|23\n"),
+        (["scatter"], "332...11...2..............\n"),
+        (["tableau"], "332...11...2\n"),
+    ],
+)
+@pytest.mark.parametrize("form", [["--file", ""], ["--file="]])
+def test_empty_file_name_does_not_read_stdin(command, stdin, form, monkeypatch, capsys):
+    # an empty --file names no file, so the valid line on stdin goes unread
+    code, out, err = run_cli([command[0], "--n", "4", *command[1:], *form], stdin, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", "error: cannot read --file: [Errno 2] No such file or directory: ''\n")
+
+
 def test_inverse_round_trip(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["inverse", "--n", "4", "--capacity", "3", "--steps", "1"],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from boxball import dynamics
 from boxball.dynamics import (
+    CarrierTrace,
     State,
     _sweep,
     carrier_pass,
@@ -17,7 +18,6 @@ from boxball.dynamics import (
     evolve_inverse,
     h_values,
     spectrum,
-    trajectory,
 )
 from boxball.tensor import tensor_e, tensor_f
 from helpers import (
@@ -171,13 +171,13 @@ def test_state_text_round_trip_property(p):
 @settings(max_examples=300, deadline=None)
 @given(states(max_n=12, max_origin=5), st.one_of(st.none(), st.integers(1, 6)))
 def test_library_built_states_pass_validation(p, l):
-    # trim, states, evolve, trajectory and evolve_inverse build their
+    # trim, states, evolve, carrier_pass and evolve_inverse build their
     # results without re-checking the cells; the checking constructor must
     # accept each unchanged
     built = [p.trim(), evolve_inverse(p, l, 1), evolve_inverse(p, l, 2), *dynamics.states(p, l, 3)]
     for k in range(4):
         built.append(evolve(p, l, k))
-        built += [trace.out_state for trace in trajectory(p, l, k)]
+        built += dynamics.states(p, l, k)
     built.append(carrier_pass(p, l or max(1, p.nonvacuum_count)).out_state)
     for q in built:
         assert type(q.cells) is tuple
@@ -312,10 +312,11 @@ def test_inverse_of_soliton_row():
 
 def test_trajectory_records_each_step():
     p = State.from_text(THREE_SOLITON_ROWS[0], 4)
-    traces = trajectory(p, None, 3)
-    assert [t.out_state.to_text() for t in traces] == THREE_SOLITON_ROWS[1:4]
-    assert -sum(traces[0].h_values) == energy(p, max(1, p.nonvacuum_count))
-    assert trajectory(p, None, 0) == []
+    qs = list(dynamics.states(p, None, 3))
+    assert [q.to_text() for q in qs] == THREE_SOLITON_ROWS[1:4]
+    assert carrier_pass(p, p.nonvacuum_count) == CarrierTrace(qs[0], h_values(p, qs[0]))
+    assert -sum(h_values(p, qs[0])) == energy(p, max(1, p.nonvacuum_count))
+    assert list(dynamics.states(p, None, 0)) == []
     assert evolve(p, None, 0) == p
 
 
@@ -380,14 +381,15 @@ def test_multistep_runs_equal_single_steps(p, l, k):
     forward = backward = p
     traces = []
     for _ in range(k):
-        traces += trajectory(forward, l)
+        traces.append(carrier_pass(forward, l or max(1, forward.nonvacuum_count)))
         forward = evolve(forward, l)
         backward = evolve_inverse(backward, l)
     assert evolve(p, l, k) == forward
     assert evolve_inverse(p, l, k) == backward
-    assert trajectory(p, l, k) == traces
+    qs = list(dynamics.states(p, l, k))
+    assert [CarrierTrace(q, h_values(prev, q)) for prev, q in zip([p, *qs], qs)] == traces
     if k:
-        assert trajectory(p, l, k)[-1].out_state == evolve(p, l, k)
+        assert qs[-1] == evolve(p, l, k)
 
 
 def test_mirror_example():
@@ -414,13 +416,15 @@ def test_mirror_conjugates_evolution_into_its_inverse(p, l, k):
 @given(windows(), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5), st.booleans())
 def test_states_stream_each_step(p, l, k, inverse):
     # the stream is lazy, checked on the call, and its h are those of each
-    # forward pass; 600 examples give each direction about 300
+    # forward pass at T's capacity counted once; 600 examples give each
+    # direction about 300
     stream = dynamics.states(p, l, k, inverse=inverse)
     assert iter(stream) is stream
     qs = list(stream)
     assert qs == [(evolve_inverse if inverse else evolve)(p, l, j) for j in range(1, k + 1)]
     if not inverse:
-        assert [h_values(prev, q) for prev, q in zip([p, *qs], qs)] == [t.h_values for t in trajectory(p, l, k)]
+        cap = l or max(1, p.nonvacuum_count)
+        assert [h_values(prev, q) for prev, q in zip([p, *qs], qs)] == [carrier_pass(prev, cap).h_values for prev in [p, *qs][:k]]
 
 
 PRIVATE = {"_sweep", "_trusted"}
@@ -463,6 +467,14 @@ def test_multistep_memory_does_not_grow_with_steps(run):
     assert peak < 256 * 1024
 
 
+def test_single_pass_needs_a_capacity():
+    # states reads None as T; a single pass of T_l and E_l have no such reading
+    p = State.from_text("332...11...2", 4)
+    for step in (carrier_pass, energy):
+        with pytest.raises(ValueError, match="^carrier capacity must be an integer >= 1, got None$"):
+            step(p, None)
+
+
 def test_capacity_validation():
     p = State.from_text("12", 4)
     with pytest.raises(ValueError):
@@ -470,7 +482,7 @@ def test_capacity_validation():
     with pytest.raises(ValueError):
         evolve_inverse(p, 0)
     with pytest.raises(ValueError):
-        trajectory(p, 2, -1)
+        evolve(p, 2, -1)
     # a negative step count is an error for the inverse too, not a no-op
     for step in (evolve, evolve_inverse, dynamics.states):
         with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -2$"):
@@ -488,15 +500,15 @@ def test_capacity_validation():
     with pytest.raises(ValueError, match="^steps must be an integer >= 0, got -1$"):
         dynamics.states(p, 2, -1, inverse=True)
     # the capacity is checked before the first step, zero steps included
-    for step, capacity in ((evolve, 0), (trajectory, -1), (evolve, 2.5), (evolve_inverse, 0), (dynamics.states, 0)):
+    for step, capacity in ((evolve, 0), (dynamics.states, -1), (evolve, 2.5), (evolve_inverse, 0), (dynamics.states, 0)):
         with pytest.raises(ValueError, match=f"^carrier capacity must be an integer >= 1, got {capacity}$"):
             step(p, capacity, 0)
     # a bool is not a capacity: True would otherwise run T_1
-    for step in (carrier_pass, energy, evolve, evolve_inverse, trajectory, dynamics.states):
+    for step in (carrier_pass, energy, evolve, evolve_inverse, dynamics.states):
         with pytest.raises(ValueError, match="^carrier capacity must be an integer >= 1, got True$"):
             step(p, True)
     # nor a step count, and a float or a string fails with the same message, not a raw TypeError
-    for step in (evolve, evolve_inverse, trajectory, dynamics.states):
+    for step in (evolve, evolve_inverse, dynamics.states):
         for steps in (True, 2.5, "2"):
             with pytest.raises(ValueError, match=f"^steps must be an integer >= 0, got {re.escape(repr(steps))}$"):
                 step(p, 1, steps)

@@ -173,6 +173,9 @@ def test_bool_color_is_refused(color):
 def test_null_propagates():
     assert tensor.tensor_e(None, 1, 4) is None
     assert tensor.tensor_f(None, 1, 4) is None
+    # None passes through before the color is checked
+    assert tensor.tensor_e(None, 9, 4) is None
+    assert tensor.tensor_f(None, 9, 4) is None
 
 
 def test_is_highest_weight():
