@@ -182,10 +182,9 @@ def cmd_scatter(args):
         print("out: " + " ".join(format_affine(x) for x in report.out_labels_simulated))
         print("pred: " + " ".join(format_affine(x) for x in report.out_labels_predicted))
         print("MATCH" if report.match else "MISMATCH")
-        print("tableau in:")
-        print(solitons.format_tableau(report.tableau_in))
-        print("tableau out:")
-        print(solitons.format_tableau(report.tableau_out))
+        for side, rows in (("in", report.tableau_in), ("out", report.tableau_out)):
+            print(f"tableau {side}:")
+            print(solitons.format_tableau(rows) if rows else "(empty)")
         if not report.match:
             status = 1
     return status

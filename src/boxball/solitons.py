@@ -10,6 +10,7 @@ shorter length, and multi-body scattering factorizes into such swaps.
 
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .dynamics import State, _check_int, _check_run, spectrum, states
@@ -125,16 +126,18 @@ def predict_m_body(labels, order=None):
     result (a consequence of the Yang-Baxter equation, property-tested).
     """
     labels = list(labels)
+    m = len(labels)
     lengths = [len(x.b) for x in labels]
     if any(a <= b for a, b in zip(lengths, lengths[1:])):
         raise ValueError(f"lengths must be strictly decreasing, got {lengths}")
-    if order is None:
-        order = [i for k in range(len(labels) - 1, 0, -1) for i in range(k)]
+    order = [i for k in range(m - 1, 0, -1) for i in range(k)] if order is None else list(order)
     for i in order:
+        if type(i) is not int or not 0 <= i < m - 1:
+            raise ValueError(f"swap position {i!r} is not an adjacent pair of {m} labels")
         labels[i], labels[i + 1] = predict_two_body(labels[i], labels[i + 1])
     out_lengths = [len(x.b) for x in labels]
     if out_lengths != sorted(out_lengths):
-        raise ValueError(f"swap order {list(order)!r} did not fully reverse the lengths")
+        raise ValueError(f"swap order {order!r} did not fully reverse the lengths")
     return tuple(labels)
 
 
@@ -149,27 +152,18 @@ class ScatteringReport(NamedTuple):
     steps: int
 
 
-def _separated(state, t, want):
-    """The solitons at time t if every run is weakly decreasing and the sorted lengths are `want`, else None."""
-    try:
-        sols = detect(state, t, check_census=False)
-    except NotSeparatedError:
-        return None
-    return sols if sorted(s.length for s in sols) == want else None
-
-
 def run_scattering(p, rule=None, max_steps=400):
     """Evolve a separated multi-soliton state until the solitons reorder.
 
     The initial lengths must be strictly decreasing left to right.  The run
-    stops once the state decomposes with the lengths fully reversed and the
-    labels stay put for two further steps; the simulated outgoing labels are
-    then compared against the factorized two-body prediction.
+    stops at the first state that decomposes with the lengths in increasing
+    order; the simulated outgoing labels are then compared against the
+    factorized two-body prediction.  Once the speeds increase left to right
+    no pair meets again, so the labels stay fixed from then on.
 
     The census is checked against the energy spectrum once, on the input:
     every T_l conserves it, so a later state decomposes exactly when its runs
-    are weakly decreasing with the input's sorted lengths.  A sliding window
-    of three states draws each time step once from one stream of `states`.
+    are weakly decreasing with the input's sorted lengths.
     """
     _check_run(rule, max_steps, "max_steps")
     sols = detect(p, 0)
@@ -183,29 +177,26 @@ def run_scattering(p, rule=None, max_steps=400):
     tab_in = bump_tableau(p)
 
     want = sorted(lengths)
-    later = states(p, rule, max_steps + 2)
-    window = [(p, sols)]
     last_good = (0, sols)
-    for t in range(max_steps + 1):
-        while len(window) < 3:
-            state = next(later)
-            window.append((state, _separated(state, t + len(window), want)))
-        state, now = window.pop(0)
-        if now is not None:
+    for t, state in enumerate(chain((p,), states(p, rule, max_steps))):
+        try:
+            now = detect(state, t, check_census=False)
+        except NotSeparatedError:
+            continue
+        now_lengths = [s.length for s in now]
+        if now_lengths == want:
             out = tuple(label(s, rule) for s in now)
-            if [s.length for s in now] == want and all(
-                ahead is not None and tuple(label(s, rule) for s in ahead) == out for _, ahead in window
-            ):
-                return ScatteringReport(
-                    in_labels=in_labels,
-                    out_labels_simulated=out,
-                    out_labels_predicted=predicted,
-                    match=out == predicted,
-                    tableau_in=tab_in,
-                    tableau_out=bump_tableau(state),
-                    final_state=state,
-                    steps=t,
-                )
+            return ScatteringReport(
+                in_labels=in_labels,
+                out_labels_simulated=out,
+                out_labels_predicted=predicted,
+                match=out == predicted,
+                tableau_in=tab_in,
+                tableau_out=bump_tableau(state),
+                final_state=state,
+                steps=t,
+            )
+        if sorted(now_lengths) == want:
             last_good = (t, now)
     raise ScatteringBudgetError(
         f"no separated reordered state within {max_steps} steps;"

@@ -360,6 +360,13 @@ def test_scatter_command(monkeypatch, capsys):
     assert lines[4:] == ["tableau in:", "1 1 2 3 3", "2", "tableau out:", "1 1 2 3 3", "2"]
 
 
+def test_scatter_vacuum_prints_empty_tableaux(monkeypatch, capsys):
+    # a line with no letters reads its tableaux as `tableau` does
+    code, out, err = run_cli(["scatter", "--n", "4"], stdin="....\n", monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["in:  ", "out: ", "pred: ", "MATCH", "tableau in:", "(empty)", "tableau out:", "(empty)"]
+
+
 def test_scatter_reports_failed_hypothesis(monkeypatch, capsys):
     code, out, err = run_cli(
         ["scatter", "--n", "4", "--rule", "2"],

@@ -3,7 +3,7 @@ from bisect import bisect_right
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxball.dynamics import State, evolve
@@ -102,6 +102,17 @@ def test_predict_m_body():
         predict_m_body(IN_LABELS, order=(0, 1))
 
 
+def test_predict_m_body_checks_swap_positions():
+    # -1 would swap the last label with the first, 2 would index past the
+    # end, and bools would run as 0 and 1
+    for order, bad in (((0, 1, -1, 0, 1), -1), ((0, 1, 0, 2), 2), ((0.0,), 0.0), ((True, False, True), True)):
+        with pytest.raises(ValueError, match=f"^swap position {bad!r} is not an adjacent pair of 3 labels$"):
+            predict_m_body(IN_LABELS, order)
+    # a one-shot iterator is named in full, not as the empty rest of it
+    with pytest.raises(ValueError, match=re.escape("swap order [0, 1] did not fully reverse the lengths")):
+        predict_m_body(IN_LABELS, iter((0, 1)))
+
+
 def test_predict_m_body_bracketing_independence():
     rng = seeded(17)
     for _ in range(50):
@@ -181,6 +192,15 @@ def test_run_scattering_preconditions():
     assert [(s.position, s.time) for s in exc.value.last_solitons] == [(6, 2), (11, 2), (14, 2)]
 
 
+def test_budget_snapshot_has_the_input_lengths():
+    # at t = 1 the runs of ...33.21 are weakly decreasing but read 2, 2, not
+    # the input's 3, 1, so the last decomposable snapshot stays at t = 0
+    with pytest.raises(ScatteringBudgetError) as exc:
+        run_scattering(State.from_text("332..1......", 4), max_steps=1)
+    assert exc.value.last_time == 0
+    assert [(s.length, s.position) for s in exc.value.last_solitons] == [(3, 0), (1, 5)]
+
+
 def test_run_scattering_checks_max_steps():
     # checked as a step count is, before any work: not a raw TypeError from
     # range, a budget error at t = 0, or True running as 1
@@ -198,8 +218,8 @@ def test_run_scattering_checks_max_steps():
     [(THREE_SOLITON_ROWS[0], None), (THREE_SOLITON_ROWS[0], 3), ("..332..", None), ("3321......211.....1....", None)],
 )
 def test_run_scattering_computes_census_once(text, rule, monkeypatch):
-    # the census is conserved, so one spectrum suffices, and the window of
-    # three states takes each time step once from a single stream of states
+    # the census is conserved, so one spectrum suffices, and each time step
+    # is taken once from a single stream of states
     calls = Counter()
     spectrum, states = solitons.spectrum, solitons.states
 
@@ -208,8 +228,11 @@ def test_run_scattering_computes_census_once(text, rule, monkeypatch):
         return spectrum(*args)
 
     def counted_states(*args):
-        calls["run"] += 1
-        for item in states(*args):
+        calls["run"] += 1  # counted on the call: a run that stops at t = 0 never starts the stream
+        return counted(states(*args))
+
+    def counted(stream):
+        for item in stream:
             calls["state"] += 1
             yield item
 
@@ -217,7 +240,11 @@ def test_run_scattering_computes_census_once(text, rule, monkeypatch):
     monkeypatch.setattr(solitons, "states", counted_states)
     report = run_scattering(State.from_text(text, 4), rule)
     assert report.match
-    assert calls == {"spectrum": 1, "run": 1, "state": report.steps + 2}
+    assert calls == Counter(spectrum=1, run=1, state=report.steps)
+    calls.clear()
+    with pytest.raises(ScatteringBudgetError):
+        run_scattering(State.from_text("332....11...2.....", 4), max_steps=2)
+    assert calls == Counter(spectrum=1, run=1, state=2)
 
 
 def test_run_scattering_under_finite_rule():
@@ -226,6 +253,34 @@ def test_run_scattering_under_finite_rule():
     finite = run_scattering(p, rule=3)
     assert full.match and finite.match
     assert full.out_labels_predicted == finite.out_labels_predicted
+
+
+@st.composite
+def scattering_inputs(draw):
+    """1..4 solitons with strictly decreasing lengths, gaps from one cell, under T or T_r past the second length."""
+    n = draw(st.integers(2, 6))
+    lengths = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)), reverse=True)
+    placements, pos = [], 0
+    for l in lengths:
+        word = sorted(draw(st.lists(st.integers(1, n - 1), min_size=l, max_size=l)), reverse=True)
+        placements.append((pos, tuple(word)))
+        pos += l + draw(st.integers(1, 6))
+    second = lengths[1] if len(lengths) > 1 else 0
+    return state_with_solitons(placements, n), draw(st.none() | st.integers(second + 1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scattering_inputs(), st.integers(1, 50))
+def test_outgoing_labels_stay_fixed(inputs, k):
+    # once the speeds increase left to right no pair meets again: every later
+    # state decomposes, census included, into the same labels
+    p, rule = inputs
+    try:
+        report = run_scattering(p, rule)
+    except ValueError:
+        assume(False)  # refused: not separated at t = 0
+    later = detect(evolve(report.final_state, rule, k), report.steps + k)
+    assert tuple(label(s, rule) for s in later) == report.out_labels_simulated
 
 
 def test_random_two_body_scattering():
