@@ -54,42 +54,34 @@ class Soliton(NamedTuple):
     time: int
 
 
-def _runs(p):
-    """Maximal non-vacuum runs as (absolute position, letters)."""
-    n, origin = p.n, p.origin
-    runs = []
-    current = []
-    start = None
-    for idx, x in enumerate(p.cells):
-        if x != n:
-            if not current:
-                start = origin + idx
-            current.append(x)
-        elif current:
-            runs.append((start, tuple(current)))
-            current = []
-    if current:
-        runs.append((start, tuple(current)))
-    return runs
-
-
 def detect(p, t=0, check_census=True):
-    """Split a state into solitons, left to right.
+    """Split a state into solitons, left to right, in one pass over the cells.
 
     Succeeds only when every non-vacuum run is weakly decreasing and the
     run-length census matches the counts derived from the energy spectrum;
-    both gates fail on mid-collision states.
+    both gates fail on mid-collision states.  The first run with an ascent
+    is named in full.
     """
-    runs = _runs(p)
-    for pos, word in runs:
-        if any(a < b for a, b in zip(word, word[1:])):
-            raise NotSeparatedError(f"run at position {pos} is not weakly decreasing: {word}")
+    n, origin = p.n, p.origin
+    cells = p.cells + (n,)  # a vacuum sentinel closes the last run
+    sols = []
+    start = None
+    for i, x in enumerate(cells):
+        if x == n:
+            if start is not None:
+                sols.append(Soliton(i - start, cells[start:i], origin + start, t))
+                start = None
+        elif start is None:
+            start = i
+        elif cells[i - 1] < x:
+            word = cells[start:cells.index(n, i)]
+            raise NotSeparatedError(f"run at position {origin + start} is not weakly decreasing: {word}")
     if check_census:
-        census = Counter(len(word) for _, word in runs)
+        census = dict(Counter(s.length for s in sols))
         expected = spectrum(p).census()
-        if dict(census) != expected:
-            raise NotSeparatedError(f"run census {dict(census)} differs from spectral counts {expected}")
-    return [Soliton(len(word), word, pos, t) for pos, word in runs]
+        if census != expected:
+            raise NotSeparatedError(f"run census {census} differs from spectral counts {expected}")
+    return sols
 
 
 def label(s, capacity=None):
@@ -155,15 +147,16 @@ class ScatteringReport(NamedTuple):
 def run_scattering(p, rule=None, max_steps=400):
     """Evolve a separated multi-soliton state until the solitons reorder.
 
-    The initial lengths must be strictly decreasing left to right.  The run
+    The input's soliton lengths must be strictly decreasing left to right,
+    and a finite `rule` must exceed the second-longest length.  The run
     stops at the first state that decomposes with the lengths in increasing
     order; the simulated outgoing labels are then compared against the
     factorized two-body prediction.  Once the speeds increase left to right
     no pair meets again, so the labels stay fixed from then on.
 
-    The census is checked against the energy spectrum once, on the input:
-    every T_l conserves it, so a later state decomposes exactly when its runs
-    are weakly decreasing with the input's sorted lengths.
+    The input is split once, with its census checked against the energy
+    spectrum: every T_l conserves the census, so a later state decomposes
+    exactly when its runs are weakly decreasing with the input's sorted lengths.
     """
     _check_run(rule, max_steps, "max_steps")
     sols = detect(p, 0)
@@ -180,7 +173,7 @@ def run_scattering(p, rule=None, max_steps=400):
     last_good = (0, sols)
     for t, state in enumerate(chain((p,), states(p, rule, max_steps))):
         try:
-            now = detect(state, t, check_census=False)
+            now = detect(state, t, check_census=False) if t else sols
         except NotSeparatedError:
             continue
         now_lengths = [s.length for s in now]

@@ -393,6 +393,19 @@ def test_scatter_budget_error_names_the_solitons(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("@3 2112..21..", "run at position 3 is not weakly decreasing: (2, 1, 1, 2)"),
+        ("33.22", "run census {2: 2} differs from spectral counts {1: 1, 3: 1}"),
+        ("..12..31", "run at position 2 is not weakly decreasing: (1, 2)"),  # only the first bad run
+    ],
+)
+def test_scatter_refuses_an_unseparated_input(line, message, monkeypatch, capsys):
+    code, out, err = run_cli(["scatter", "--n", "4"], stdin=line + "\n", monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_tableau_command(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["tableau", "--n", "4"],

@@ -56,6 +56,46 @@ def test_detect_census_gate():
     assert (s.length, s.content) == (2, (2, 1))
 
 
+@st.composite
+def windows(draw):
+    """Up to 30 cells over n = 2..12 at origin -5..5; runs weakly decreasing or not, touching either edge or neither."""
+    n = draw(st.integers(2, 12))
+    cells = []
+    for _ in range(draw(st.integers(0, 5))):
+        cells += [n] * draw(st.integers(0, 3))
+        run = draw(st.lists(st.integers(1, n - 1), max_size=6))
+        cells += sorted(run, reverse=True) if draw(st.booleans()) else run
+    cells += [n] * draw(st.integers(0, 3))
+    return State(cells[:30], n, draw(st.integers(-5, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(), st.integers(0, 5))
+def test_detect_splits_any_window(p, t):
+    # refused exactly at an ascent inside a run, naming the whole run of the
+    # first one; otherwise the solitons are the maximal runs, and writing
+    # them back rebuilds the window
+    n, cells = p.n, p.cells
+    ascents = [j for j in range(1, len(cells)) if cells[j - 1] < cells[j] < n]
+    if ascents:
+        lo = max((k + 1 for k in range(ascents[0]) if cells[k] == n), default=0)
+        hi = next((k for k in range(ascents[0], len(cells)) if cells[k] == n), len(cells))
+        message = f"run at position {p.origin + lo} is not weakly decreasing: {cells[lo:hi]}"
+        with pytest.raises(NotSeparatedError, match=f"^{re.escape(message)}$"):
+            detect(p, t, check_census=False)
+        return
+    sols = detect(p, t, check_census=False)
+    cells = [n] * len(cells)
+    for s in sols:
+        assert list(s.content) == sorted(s.content, reverse=True)
+        assert (s.length, s.time) == (len(s.content), t)
+        i = s.position - p.origin
+        assert 0 <= i and i + s.length <= len(cells)
+        cells[i : i + s.length] = s.content
+    assert all(a.position + a.length < b.position for a, b in zip(sols, sols[1:]))
+    assert State(cells, n, p.origin).trim() == p.trim()
+
+
 def test_detect_respects_origin():
     p = State.from_text("@5 ..332", 4)
     (s,) = detect(p)
@@ -218,14 +258,19 @@ def test_run_scattering_checks_max_steps():
     [(THREE_SOLITON_ROWS[0], None), (THREE_SOLITON_ROWS[0], 3), ("..332..", None), ("3321......211.....1....", None)],
 )
 def test_run_scattering_computes_census_once(text, rule, monkeypatch):
-    # the census is conserved, so one spectrum suffices, and each time step
-    # is taken once from a single stream of states
+    # the census is conserved, so one spectrum suffices; each time step is
+    # taken once from a single stream of states and split once, the input
+    # with its census and every later state without
     calls = Counter()
-    spectrum, states = solitons.spectrum, solitons.states
+    spectrum, states, detect = solitons.spectrum, solitons.states, solitons.detect
 
     def counted_spectrum(*args):
         calls["spectrum"] += 1
         return spectrum(*args)
+
+    def counted_detect(p, t=0, check_census=True):
+        calls["census" if check_census else "split"] += 1
+        return detect(p, t, check_census)
 
     def counted_states(*args):
         calls["run"] += 1  # counted on the call: a run that stops at t = 0 never starts the stream
@@ -238,13 +283,14 @@ def test_run_scattering_computes_census_once(text, rule, monkeypatch):
 
     monkeypatch.setattr(solitons, "spectrum", counted_spectrum)
     monkeypatch.setattr(solitons, "states", counted_states)
+    monkeypatch.setattr(solitons, "detect", counted_detect)
     report = run_scattering(State.from_text(text, 4), rule)
     assert report.match
-    assert calls == Counter(spectrum=1, run=1, state=report.steps)
+    assert calls == Counter(spectrum=1, run=1, state=report.steps, census=1, split=report.steps)
     calls.clear()
     with pytest.raises(ScatteringBudgetError):
         run_scattering(State.from_text("332....11...2.....", 4), max_steps=2)
-    assert calls == Counter(spectrum=1, run=1, state=2)
+    assert calls == Counter(spectrum=1, run=1, state=2, census=1, split=2)
 
 
 def test_run_scattering_under_finite_rule():
