@@ -130,7 +130,7 @@ def cmd_rmatrix(args):
             raise CliError(f"{where}: {exc}")
         if len(t) != 2:
             raise CliError(f"{where}: expected exactly two factors, got {len(t)}")
-        (c1, c2), h = rmatrix.iso_with_energy(t[0], t[1], args.n)
+        (c1, c2), h = rmatrix.iso_with_energy(t[0], t[1])
         print(f"({format_element(c1, args.n)})|({format_element(c2, args.n)}) H={h}")
     return 0
 

@@ -49,8 +49,7 @@ class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin",
     __slots__ = ()
 
     def __new__(cls, cells, n, origin=0):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"alphabet size must be an integer >= 2, got {n!r}")
+        _check_int("alphabet size", n, 2)
         if type(origin) is not int:
             raise ValueError(f"origin must be an integer, got {origin!r}")
         cells = tuple(cells)
@@ -108,6 +107,7 @@ class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin",
 
     @classmethod
     def from_text(cls, text, n):
+        _check_int("alphabet size", n, 2)
         s = text.strip()
         origin = 0
         if s.startswith("@"):
@@ -157,12 +157,12 @@ def _sweep(cells, n, l, inverse=False):
     Returns all the letters left to right, drained ones included.  Read in
     the pass's own order of cells, and with the letters 1..n-1 in reverse
     order for the inverse (T_l^-1 = M T_l M), a cell v meets the carrier as
-    follows: an empty carrier takes a letter; a vacuum takes out the
-    largest held letter; a letter v swaps for the largest held letter below
-    v; otherwise, below capacity, v joins and a vacuum leaves; otherwise
-    the largest held letter leaves and v joins.  A vacuum cell never joins,
-    so the drain over vacuum cells added after the last cell emits the held
-    letters largest first, one per cell.
+    follows: an empty carrier takes a letter; a letter v swaps for the
+    largest held letter below v, or with none below joins, a vacuum leaving
+    while the carrier is below capacity; in every other case, a vacuum cell
+    or a letter joining a full carrier, the largest held letter leaves.  A
+    vacuum cell never joins, so the drain over vacuum cells added after the
+    last cell emits the held letters largest first, one per cell.
     """
     # in the pass's order of the letters, d steps from v towards the letters
     # below it, top is the largest letter, and held[stop] = 1 ends the scan
@@ -180,31 +180,27 @@ def _sweep(cells, n, l, inverse=False):
             emit(n)
             continue
         if v == n:
-            x = top
+            load -= 1
+        else:
+            x = v - d
             while not held[x]:
                 x -= d
-            held[x] -= 1
-            load -= 1
-            emit(x)
-            continue
-        x = v - d
+            held[v] += 1
+            if x != stop:
+                held[x] -= 1
+                emit(x)
+                continue
+            if load < l:
+                load += 1
+                emit(n)
+                continue
+        # a vacuum cell, or a letter that found a full carrier with nothing
+        # held below it: the largest held letter leaves
+        x = top
         while not held[x]:
             x -= d
-        if x != stop:
-            held[x] -= 1
-            held[v] += 1
-            emit(x)
-        elif load < l:
-            held[v] += 1
-            load += 1
-            emit(n)
-        else:
-            x = top
-            while not held[x]:
-                x -= d
-            held[x] -= 1
-            held[v] += 1
-            emit(x)
+        held[x] -= 1
+        emit(x)
     for x in range(top, stop, -d):
         out += [x] * held[x]
     if inverse:

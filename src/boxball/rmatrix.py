@@ -127,7 +127,7 @@ class YangBaxterReport(NamedTuple):
     counterexample: tuple = None
 
 
-def _exchange_table(left, right, n):
+def _exchange_table(left, right):
     """R on all of left (x) right by position: rows[p][q] = (position of c1 in right, position of c2 in left, H)."""
     at_left = {b: k for k, b in enumerate(left)}
     at_right = {b: k for k, b in enumerate(right)}
@@ -135,7 +135,7 @@ def _exchange_table(left, right, n):
     for b in left:
         row = []
         for bp in right:
-            (c1, c2), h = iso_with_energy(b, bp, n)
+            (c1, c2), h = iso_with_energy(b, bp)
             row.append((at_right[c1], at_left[c2], h))
         rows.append(row)
     return rows
@@ -151,7 +151,7 @@ def yang_baxter_check(l1, l2, l3, n):
     counterexample on failure.
     """
     elements = {l: tuple(crystal.elements(l, n)) for l in {l1, l2, l3}}
-    tables = {key: _exchange_table(elements[key[0]], elements[key[1]], n) for key in {(l1, l2), (l2, l3), (l1, l3)}}
+    tables = {key: _exchange_table(elements[key[0]], elements[key[1]]) for key in {(l1, l2), (l2, l3), (l1, l3)}}
     r12, r23, r13 = tables[l1, l2], tables[l2, l3], tables[l1, l3]
     n3 = len(elements[l3])
     cases = 0

@@ -1,14 +1,15 @@
 """Shared fixtures: golden displays, seeded random-state builders, a broken R-matrix,
 the sign-list tensor operators, the pairing in any order, the pass-per-l spectrum,
-the ball-moving rule, the mirror and the carrier folded from the crystal graph."""
+the ball-moving rule, the mirror, and the carrier folded one cell at a time from a
+given exchange, `fold_pass` for T_l and `fold_inverse` for T_l^-1: the pairing's
+`iso_with_energy` or the crystal graph's `iso_oracle`."""
 
 import random
 from bisect import bisect_left
-from functools import cache
 
 from boxball import crystal, tensor
 from boxball.dynamics import EnergySpectrum, State, energy
-from boxball.rmatrix import Pairing, iso_with_energy, oracle_table
+from boxball.rmatrix import Pairing, iso_with_energy
 from boxball.solitons import state_with_solitons
 
 # Three solitons of lengths 3, 2, 1 scattering over seven time steps.
@@ -170,56 +171,45 @@ def mirror(p):
     return State([swap[x] for x in reversed(p.cells)], p.n, 1 - p.origin - len(p.cells))
 
 
-_oracle_table = cache(oracle_table)
+def fold_pass(p, l, r):
+    """One step of T_l folded from the exchange `r`: (out state, H of each exchange, carrier after the last cell).
 
-
-def oracle_pass(p, l):
-    """One step of T_l from the crystal graph: (out state, H of each exchange).
-
-    Folds the exchange B_l (x) B_1 -> B_1 (x) B_l of `oracle_table`, which
-    never calls the pairing, over the cells left to right from the
-    all-vacuum carrier, appending vacuum cells until the carrier is all
-    vacuum again.
+    `r` is `iso_with_energy` (the pairing) or `iso_oracle` (the crystal
+    graph), called as r(carrier, (v,), n) for B_l (x) B_1 -> B_1 (x) B_l.
+    The all-vacuum carrier crosses the cells left to right, and at most l
+    vacuum cells are appended until it is all vacuum again.
     """
     n = p.n
-    table = _oracle_table(l, 1, n)
-    vacuum = (n,) * l
-    carrier = vacuum
+    cells = p.cells
+    vacuum = carrier = held = (n,) * l
     out = []
     hs = []
-    for v in p.cells:
-        ((w,), carrier), h = table[(carrier, (v,))]
+    while len(out) < len(cells) or carrier != vacuum:
+        assert len(out) < len(cells) + l, "carrier failed to drain"
+        if len(out) == len(cells):
+            held = carrier
+        v = cells[len(out)] if len(out) < len(cells) else n
+        ((w,), carrier), h = r(carrier, (v,), n)
         out.append(w)
         hs.append(h)
-    while carrier != vacuum:
-        assert len(out) < len(p.cells) + l, "oracle carrier failed to drain"
-        ((w,), carrier), h = table[(carrier, (n,))]
-        out.append(w)
-        hs.append(h)
-    return State(out, n, p.origin), tuple(hs)
+    return State(out, n, p.origin), tuple(hs), held
 
 
-def oracle_inverse(p, l):
-    """One step of T_l^-1 from the crystal graph.
+def fold_inverse(p, l, r):
+    """One step of T_l^-1 folded from the exchange `r`, as in `fold_pass`: the out state.
 
-    Folds the exchange B_1 (x) B_l -> B_l (x) B_1 of `oracle_table` over the
-    cells right to left from the all-vacuum carrier, prepending vacuum
-    cells until the carrier drains; the origin drops by one per prepended
-    cell.
+    `r` is called as r((v,), carrier, n) for B_1 (x) B_l -> B_l (x) B_1.
+    The carrier crosses the cells right to left, and at most l vacuum
+    cells are prepended until it drains; the origin drops by one per
+    prepended cell.
     """
     n = p.n
-    table = _oracle_table(1, l, n)
-    vacuum = (n,) * l
-    carrier = vacuum
+    cells = p.cells[::-1]
+    vacuum = carrier = (n,) * l
     out = []
-    for v in reversed(p.cells):
-        (carrier, (w,)), _ = table[((v,), carrier)]
+    while len(out) < len(cells) or carrier != vacuum:
+        assert len(out) < len(cells) + l, "inverse carrier failed to drain"
+        v = cells[len(out)] if len(out) < len(cells) else n
+        (carrier, (w,)), _ = r((v,), carrier, n)
         out.append(w)
-    prepended = 0
-    while carrier != vacuum:
-        assert prepended < l, "oracle inverse carrier failed to drain"
-        (carrier, (w,)), _ = table[((n,), carrier)]
-        out.append(w)
-        prepended += 1
-    out.reverse()
-    return State(out, n, p.origin - prepended)
+    return State(out[::-1], n, p.origin + len(cells) - len(out))

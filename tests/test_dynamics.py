@@ -72,6 +72,16 @@ def test_state_text_round_trip():
         State((1, 2), 2, True)
 
 
+@pytest.mark.parametrize("n", ["4", None, 1, True, 2.5])
+def test_state_refuses_a_bad_alphabet_size_before_the_text(n):
+    # from_text checks n first, so it neither compares it with 9 nor blames the text
+    message = f"^alphabet size must be an integer >= 2, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        State.from_text("33.2", n)
+    with pytest.raises(ValueError, match=message):
+        State((3, 3), n)
+
+
 def test_state_text_round_trip_every_alphabet():
     rng = seeded(61)
     for n in range(2, 13):
