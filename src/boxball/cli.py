@@ -6,7 +6,7 @@ import sys
 
 from . import dynamics, rmatrix, solitons
 from .crystal import format_element
-from .dynamics import State
+from .dynamics import State, _integer
 from .rmatrix import format_affine
 from .tensor import parse_tensor
 
@@ -16,7 +16,8 @@ from .tensor import parse_tensor
 # of the pair.  In units of one case, `_ybe_cost` counts an exchange of a + b
 # letters as 3 + (a + b) // 3, and each listed letter as 4, which keeps the
 # element lists under about 80 MB.  YBE_MAX_WORK units take at most about
-# 20 s (15 s at sizes 1,380,380 and n=2); YBE_MAX_CASES bounds the tables,
+# 20 s (14 s at sizes 1,380,380 and n=2, the median of three runs under
+# CPython 3.11.7 on a 2-CPU x86-64 VM); YBE_MAX_CASES bounds the tables,
 # which have at most half as many entries as there are cases.
 YBE_MAX_CASES = 1_000_000
 YBE_MAX_WORK = 40_000_000
@@ -29,16 +30,6 @@ class CliError(Exception):
 def _check_n(n):
     if not 2 <= n <= 9:
         raise CliError(f"--n must be in 2..9 for the compact text format, got {n}")
-
-
-def _integer(text):
-    """The value of an optional '-' then ASCII digits, else None.
-
-    int() alone also reads non-ASCII digits, '_' and '+', which the text
-    formats refuse.
-    """
-    digits = text.removeprefix("-")
-    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def _alphabet_size(text):
@@ -123,6 +114,7 @@ def cmd_rmatrix(args):
     if args.pair is not None and args.file is not None:
         raise CliError("give a pair or --file, not both")
     inputs = [("pair", args.pair)] if args.pair is not None else [(f"line {i}", line) for i, line in _read_lines(args)]
+    pairs = []
     for where, text in inputs:
         try:
             t = parse_tensor(text, args.n)
@@ -130,7 +122,10 @@ def cmd_rmatrix(args):
             raise CliError(f"{where}: {exc}")
         if len(t) != 2:
             raise CliError(f"{where}: expected exactly two factors, got {len(t)}")
-        (c1, c2), h = rmatrix.iso_with_energy(t[0], t[1])
+        pairs.append(t)
+    # all pairs are parsed before the first is printed, as `_each_state` does for states
+    for b, bp in pairs:
+        (c1, c2), h = rmatrix.iso_with_energy(b, bp)
         print(f"({format_element(c1, args.n)})|({format_element(c2, args.n)}) H={h}")
     return 0
 
@@ -184,7 +179,7 @@ def cmd_scatter(args):
         print("MATCH" if report.match else "MISMATCH")
         for side, rows in (("in", report.tableau_in), ("out", report.tableau_out)):
             print(f"tableau {side}:")
-            print(solitons.format_tableau(rows) if rows else "(empty)")
+            print(solitons.format_tableau(rows))
         if not report.match:
             status = 1
     return status
@@ -192,8 +187,7 @@ def cmd_scatter(args):
 
 def cmd_tableau(args):
     for state in _each_state(args):
-        rows = solitons.bump_tableau(state)
-        print(solitons.format_tableau(rows) if rows else "(empty)")
+        print(solitons.format_tableau(solitons.bump_tableau(state)))
     return 0
 
 

@@ -11,6 +11,12 @@ from functools import cache
 from itertools import combinations_with_replacement
 
 
+def _check_int(name, value, low):
+    """Refuse anything but an int >= low; a bool is not an int here."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def check_color(i, n):
     if type(i) is not int or not 0 <= i < n:
         raise ValueError(f"color index must be in 0..{n - 1}, got {i!r}")
@@ -97,9 +103,7 @@ def table(l, n):
 
 def format_element(b, n):
     """Text form: concatenated digits for n <= 9, comma separated otherwise."""
-    if n <= 9:
-        return "".join(str(x) for x in b)
-    return ",".join(str(x) for x in b)
+    return ("," if n > 9 else "").join(str(x) for x in b)
 
 
 def parse_element(text, n):

@@ -31,6 +31,18 @@ states of the forward and the inverse stream.
 from operator import gt
 from typing import NamedTuple
 
+from .crystal import _check_int
+
+
+def _integer(text):
+    """The value of an optional '-' then ASCII digits, else None.
+
+    int() alone also reads non-ASCII digits, '_' and '+', which the text
+    formats refuse.
+    """
+    digits = text.removeprefix("-")
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
 
 class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin", int)])):
     """Cells of a box-ball configuration with an absolute origin offset.
@@ -43,7 +55,8 @@ class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin",
 
     A state is the named tuple (cells, n, origin).  Construction,
     ``from_text``, ``_replace``, unpickling at any protocol and copying check
-    every letter; the states the library derives from a checked one do not.
+    every letter, ``from_text`` once per cell as it reads it; the states the
+    library derives from a checked one are not re-checked.
     """
 
     __slots__ = ()
@@ -96,10 +109,7 @@ class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin",
         return State._trusted(cells[lo:hi], self.n, self.origin + lo)
 
     def to_text(self):
-        if self.n > 9:
-            body = ",".join("." if x == self.n else str(x) for x in self.cells)
-        else:
-            body = "".join("." if x == self.n else str(x) for x in self.cells)
+        body = ("," if self.n > 9 else "").join("." if x == self.n else str(x) for x in self.cells)
         # an empty window keeps its prefix, so its row is never blank
         if self.origin or not body:
             return f"@{self.origin} {body}"
@@ -112,10 +122,9 @@ class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin",
         origin = 0
         if s.startswith("@"):
             head, _, rest = s.partition(" ")
-            digits = head[1:].removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
+            origin = _integer(head[1:])
+            if origin is None:
                 raise ValueError(f"bad origin prefix {head!r}")
-            origin = int(head[1:])
             s = rest.strip()
         wide = n > 9
         cells = []
@@ -128,7 +137,7 @@ class State(NamedTuple("_StateFields", [("cells", tuple), ("n", int), ("origin",
             else:
                 raise ValueError(f"column {col}: unexpected {'cell' if wide else 'character'} {field!r}")
             col += len(field) + 1 if wide else 1
-        return cls(cells, n, origin)
+        return cls._trusted(tuple(cells), n, origin)
 
 
 class CarrierTrace(NamedTuple):
@@ -136,12 +145,6 @@ class CarrierTrace(NamedTuple):
 
     out_state: State
     h_values: tuple
-
-
-def _check_int(name, value, low):
-    """Refuse anything but an int >= low; a bool is not an int here."""
-    if type(value) is not int or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_run(capacity, steps, name="steps"):

@@ -141,6 +141,13 @@ def _exchange_table(left, right):
     return rows
 
 
+def _check_sizes(sizes, n):
+    """Refuse an alphabet size below 2 or a factor size below 1, bools included."""
+    crystal._check_int("alphabet size", n, 2)
+    for l in sizes:
+        crystal._check_int("size", l, 1)
+
+
 def yang_baxter_check(l1, l2, l3, n):
     """Exhaustively compare (R x 1)(1 x R)(R x 1) with (1 x R)(R x 1)(1 x R).
 
@@ -150,6 +157,7 @@ def yang_baxter_check(l1, l2, l3, n):
     are then walked as positions and exponents.  Reports the first
     counterexample on failure.
     """
+    _check_sizes((l1, l2, l3), n)
     elements = {l: tuple(crystal.elements(l, n)) for l in {l1, l2, l3}}
     tables = {key: _exchange_table(elements[key[0]], elements[key[1]]) for key in {(l1, l2), (l2, l3), (l1, l3)}}
     r12, r23, r13 = tables[l1, l2], tables[l2, l3], tables[l1, l3]
@@ -178,7 +186,8 @@ def yang_baxter_check(l1, l2, l3, n):
     return YangBaxterReport(True, cases)
 
 
-@lru_cache(maxsize=None)
+# typed, so that a bool argument misses the int entries and meets the checks
+@lru_cache(maxsize=None, typed=True)
 def oracle_table(l1, l2, n):
     """Image and H for all of B_l1 (x) B_l2, from the crystal graph alone.
 
@@ -193,6 +202,7 @@ def oracle_table(l1, l2, n):
     (epsilon_i, phi_i) counts, each count pair going through
     `tensor.targets` once.  Independent of the pairing algorithm.
     """
+    _check_sizes((l1, l2), n)
     elements1, moves1 = crystal.table(l1, n)
     elements2, moves2 = crystal.table(l2, n)
     n1, n2 = len(elements1), len(elements2)

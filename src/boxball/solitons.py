@@ -13,7 +13,8 @@ from collections import Counter
 from itertools import chain
 from typing import NamedTuple
 
-from .dynamics import State, _check_int, _check_run, spectrum, states
+from .crystal import _check_int
+from .dynamics import State, _check_run, spectrum, states
 from .rmatrix import Affine, iso_with_energy
 
 __all__ = [
@@ -223,7 +224,8 @@ def bump_tableau(p):
 
 
 def format_tableau(rows):
-    return "\n".join(" ".join(str(x) for x in row) for row in rows)
+    """One line per row, letters separated by spaces; a tableau of no letters is "(empty)"."""
+    return "\n".join(" ".join(str(x) for x in row) for row in rows) or "(empty)"
 
 
 def state_with_solitons(placements, n, tail=2):
@@ -234,8 +236,8 @@ def state_with_solitons(placements, n, tail=2):
     _check_int("tail", tail, 0)
     if not placements:
         return State((n,) * tail, n)
-    if any(pos < 0 for pos, _ in placements):
-        raise ValueError("soliton positions must be nonnegative")
+    for pos, _ in placements:
+        _check_int("soliton position", pos, 0)
     end = max(pos + len(word) for pos, word in placements)
     cells = [n] * (end + tail)
     for pos, word in placements:

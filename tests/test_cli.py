@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from boxball import dynamics, rmatrix
+from boxball import dynamics, rmatrix, solitons
 from boxball.cli import main
 from boxball.dynamics import State, energy, evolve, evolve_inverse, h_values
 from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, broken_r, seeded
@@ -282,8 +282,9 @@ def test_rmatrix_rejects_bad_input(monkeypatch, capsys):
     for stdin in ("", "1123|23\n"):
         code, out, err = run_cli(["rmatrix", "--n", "4", ""], stdin=stdin, monkeypatch=monkeypatch, capsys=capsys)
         assert (code, out, err) == (2, "", "error: pair: empty element text\n")
+    # every line is parsed before the first is printed
     code, out, err = run_cli(["rmatrix", "--n", "4"], stdin="12|3\n12|\n", monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and err == "error: line 2: empty element text\n"
+    assert (code, out, err) == (2, "", "error: line 2: empty element text\n")
     # letters are ASCII digits only: int() would read '١٢' as 12
     code, out, err = run_cli(["rmatrix", "--n", "4", "١٢|3"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and out == "" and err == "error: pair: bad element text '١٢'\n"
@@ -376,6 +377,14 @@ def test_scatter_reports_failed_hypothesis(monkeypatch, capsys):
     )
     assert code == 2
     assert "exceed" in err
+
+
+def test_scatter_mismatch_exits_1(monkeypatch, capsys):
+    # a broken R-matrix predicts labels the simulation does not reach
+    monkeypatch.setattr(solitons, "iso_with_energy", broken_r)
+    code, out, err = run_cli(["scatter", "--n", "4"], stdin=THREE_SOLITON_ROWS[0] + "\n", monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[3] == "MISMATCH"
 
 
 def test_scatter_budget_error_names_the_solitons(monkeypatch, capsys):
@@ -490,6 +499,18 @@ def test_any_stdin_exits_cleanly(command, n, stdin, monkeypatch, capsys):
     # whatever arrives on stdin ends in a result or a one-line error, never a traceback
     code, out, err = run_cli([command[0], "--n", str(n), *command[1:]], stdin, monkeypatch, capsys)
     assert code == 0 and err == "" or code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_closed_stdout_exits_1(monkeypatch):
+    # a reader that went away, as in `boxball evolve ... | head -1`, ends the run with no traceback
+    monkeypatch.setattr("sys.stdin", io.StringIO("332\n"))
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["evolve", "--n", "4"]) == 1
 
 
 def test_n_range_enforced(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +110,10 @@ def test_element_validation():
     # a bool is not a letter, though it is an int to isinstance
     for b in ((True, 2), (1, True)):
         with pytest.raises(ValueError, match="^letter True out of range 1..4$"):
+            crystal.validate_element(b, 4)
+    # an element is a nonempty tuple: not a list, and not the empty word
+    for b in ([1], ()):
+        with pytest.raises(ValueError, match=f"^element must be a nonempty tuple of letters, got {re.escape(repr(b))}$"):
             crystal.validate_element(b, 4)
 
 

@@ -232,6 +232,28 @@ def test_yang_baxter_reports_a_counterexample(monkeypatch):
     assert all(type(x) is Affine for side in report.counterexample for x in side)
 
 
+@pytest.mark.parametrize(
+    "sizes, n, message",
+    [
+        ((0, 1), 2, "size must be an integer >= 1, got 0"),
+        ((1, -1), 3, "size must be an integer >= 1, got -1"),
+        ((1, True), 2, "size must be an integer >= 1, got True"),
+        ((1.0, 1), 2, "size must be an integer >= 1, got 1.0"),
+        ((1, 1), 1, "alphabet size must be an integer >= 2, got 1"),
+        ((1, 1), True, "alphabet size must be an integer >= 2, got True"),
+        ((1, 1), "4", "alphabet size must be an integer >= 2, got '4'"),
+    ],
+    ids=["zero", "negative", "bool-size", "float-size", "n-1", "bool-n", "str-n"],
+)
+def test_yang_baxter_and_oracle_refuse_bad_sizes(sizes, n, message):
+    # a size 0 is the empty word, over which every equation holds; a bool
+    # would otherwise reach the cached oracle entry of the int it equals
+    oracle_table(1, 1, 2)
+    for call in (lambda: yang_baxter_check(*sizes, 1, n), lambda: yang_baxter_check(1, *sizes, n), lambda: oracle_table(*sizes, n)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def test_yang_baxter_memory_does_not_grow_with_element_length():
     # the tables hold positions, not elements: the peak here is 0.4 MB, and
     # a table holding one pair of image tuples per pair would take 6.8 MB

@@ -403,6 +403,8 @@ def test_row_insert_and_bump_tableau():
     assert bump_tableau(State.from_text(THREE_SOLITON_ROWS[6], 4)) == ((1, 1, 2, 3, 3), (2,))
     assert bump_tableau(State.from_text("....", 4)) == ()
     assert format_tableau(((1, 1, 2, 3, 3), (2,))) == "1 1 2 3 3\n2"
+    # a tableau of no letters still prints a line
+    assert format_tableau(()) == "(empty)"
 
 
 def reference_bump(rows, x):
@@ -472,3 +474,7 @@ def test_state_with_solitons_validation():
         for tail in (-1, 2.5, "2", None, True):
             with pytest.raises(ValueError, match=f"^tail must be an integer >= 0, got {re.escape(repr(tail))}$"):
                 state_with_solitons(placements, 4, tail=tail)
+    # a position is a cell index, checked as the tail is
+    for pos in (-1, 2.5, "2", None, True):
+        with pytest.raises(ValueError, match=f"^soliton position must be an integer >= 0, got {re.escape(repr(pos))}$"):
+            state_with_solitons([(0, (3,)), (pos, (1,))], 4)
