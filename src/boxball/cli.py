@@ -73,18 +73,18 @@ def _read_lines(args):
     return [(i, line) for i, line in enumerate(raw, start=1) if line.strip() and not line.lstrip().startswith("#")]
 
 
-def _each_state(args):
-    """The input states, all parsed before the first is yielded, with a blank line printed between consecutive ones."""
+def _each_state(args, run=lambda state: state):
+    """run(state) of each input state, all parsed and then run before the first is yielded, with a blank line printed between consecutive ones."""
     states = []
     for lineno, line in _read_lines(args):
         try:
             states.append(State.from_text(line, args.n))
         except ValueError as exc:
             raise CliError(f"line {lineno}: {exc}")
-    for k, state in enumerate(states):
+    for k, item in enumerate([run(state) for state in states]):
         if k:
             print()
-        yield state
+        yield item
 
 
 def cmd_evolve(args):
@@ -164,15 +164,17 @@ def cmd_ybe(args):
 
 
 def cmd_scatter(args):
-    status = 0
-    for state in _each_state(args):
+    def run(state):
         try:
-            report = solitons.run_scattering(state, args.rule, args.max_steps)
+            return solitons.run_scattering(state, args.rule, args.max_steps)
         except ValueError as exc:
             raise CliError(str(exc))
         except solitons.ScatteringBudgetError as exc:
             found = ", ".join(f"{s.length}@{s.position}" for s in exc.last_solitons)
             raise CliError(f"{exc} with solitons (length@position) {found}")
+
+    status = 0
+    for report in _each_state(args, run):
         print("in:  " + " ".join(format_affine(x) for x in report.in_labels))
         print("out: " + " ".join(format_affine(x) for x in report.out_labels_simulated))
         print("pred: " + " ".join(format_affine(x) for x in report.out_labels_predicted))

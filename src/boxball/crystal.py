@@ -3,7 +3,7 @@
 An element of B_l is a weakly increasing word of length l, stored as a
 plain tuple of ints.  The operators e_i / f_i (colors 0..n-1) return a
 new tuple, or None when the action is undefined.  `table` lists all of
-B_l with every element's counts and operator images, by position.
+B_l with every element's counts and e_i images, by position.
 """
 
 from bisect import bisect_left, bisect_right
@@ -89,14 +89,14 @@ def table(l, n):
     """B_l by lexicographic position, built once per (l, n): (elements, moves).
 
     elements[k] is the k-th element b, and moves[k][i] is
-    ((epsilon_i, phi_i), position of e_i b, position of f_i b), with None
-    where the operator is undefined.
+    ((epsilon_i, phi_i), position of e_i b), with None where e_i is
+    undefined.
     """
     elems = tuple(elements(l, n))
     index = {b: k for k, b in enumerate(elems)}
     at = lambda b: None if b is None else index[b]
     moves = tuple(
-        tuple(((epsilon(b, i, n), phi(b, i, n)), at(apply_e(b, i, n)), at(apply_f(b, i, n))) for i in range(n)) for b in elems
+        tuple(((epsilon(b, i, n), phi(b, i, n)), at(apply_e(b, i, n))) for i in range(n)) for b in elems
     )
     return elems, moves
 

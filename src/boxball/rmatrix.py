@@ -11,8 +11,8 @@ reverse order, R(b (x) b') = (dual c2, dual c1) with the same H, where
 ((c1, c2), H) = R(dual b' (x) dual b).  The single-letter exchange of the
 carrier is a view of the general map.  An independent oracle recomputes
 image and H from the crystal graph alone, by propagating images along
-e_i/f_i edges from the all-vacuum anchor; H changes only on e_0 edges, by
-+1 where e_0 acts on the left factor of both the pair and its image and by
+e_i edges from the all-vacuum anchor; H changes only on e_0 edges, by +1
+where e_0 acts on the left factor of both the pair and its image and by
 -1 where it acts on the right factor of both.  It holds each pair and
 image as one integer index into the two factors' `crystal.table`s, and
 asks `tensor.targets` once per pair of factor counts.  Affinized elements
@@ -20,7 +20,7 @@ z^d b carry an integer exponent d that the R-matrix shifts by +-H.
 """
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from . import crystal, tensor
@@ -191,14 +191,16 @@ def yang_baxter_check(l1, l2, l3, n):
 def oracle_table(l1, l2, n):
     """Image and H for all of B_l1 (x) B_l2, from the crystal graph alone.
 
-    Breadth-first search from the all-vacuum pair: images follow the same
-    e_i/f_i word applied on the swapped side, and H steps along e_0 edges
-    by where e_0 acts: +1 on the left factor of both a pair and its image,
-    -1 on the right factor of both, 0 otherwise.  An f_0 edge steps by minus
-    the rule on the e_0 edge back, which acts on the same factors.  A pair
-    of positions (p, q) in the two `crystal.table`s is the index
+    Breadth-first search from the all-vacuum pair along e_i edges: images
+    follow the same e_i word applied on the swapped side, and H steps along
+    e_0 edges by where e_0 acts: +1 on the left factor of both a pair and its
+    image, -1 on the right factor of both, 0 otherwise.  The e_i edges reach
+    every pair, as each has level zero: the pairs reached hold an upper part
+    of every i-string, a proper upper part sums phi_i - epsilon_i to more
+    than zero, and each pair sums phi_i - epsilon_i over i to zero.
+    A pair of positions (p, q) in the two `crystal.table`s is the index
     p * |B_l2| + q, its image (u, v) the index u * |B_l1| + v, and the
-    signature rule is looked up per call by the two factors'
+    factor e_i acts on is looked up per call by the two factors'
     (epsilon_i, phi_i) counts, each count pair going through
     `tensor.targets` once.  Independent of the pairing algorithm.
     """
@@ -211,34 +213,27 @@ def oracle_table(l1, l2, n):
     energies = [0] * (n1 * n2)
     queue = [n1 * n2 - 1]
     images[-1] = n1 * n2 - 1
-    rule = {}
+    rule = cache(lambda *counts: tensor.targets(counts)[0])
     for x in queue:
         image, h = images[x], energies[x]
         p, q = divmod(x, n2)
         u, v = divmod(image, n1)
         a, b, c, d = moves1[p], moves2[q], moves2[u], moves1[v]
         for i in range(n):
-            ai, bi = a[i], b[i]
-            counts = ai[0], bi[0]
-            targets = rule.get(counts) or rule.setdefault(counts, tensor.targets(counts))
-            image_targets = None
-            for side, sign in ((0, 1), (1, -1)):
-                j = targets[side]
-                if j is None:
-                    continue
-                y = ai[1 + side] * n2 + q if j == 0 else x - q + bi[1 + side]
-                if images[y] is not None:
-                    continue
-                if image_targets is None:
-                    ci, di = c[i], d[i]
-                    counts = ci[0], di[0]
-                    image_targets = rule.get(counts) or rule.setdefault(counts, tensor.targets(counts))
-                k = image_targets[side]
-                if k is None:
-                    raise RuntimeError(f"operator path broke at {(elements1[p], elements2[q])!r} color {i}; sides not isomorphic")
-                images[y] = ci[1 + side] * n1 + v if k == 0 else image - v + di[1 + side]
-                energies[y] = h + sign * (1 - 2 * j if i == 0 and j == k else 0)
-                queue.append(y)
+            (counts1, e1), (counts2, e2) = a[i], b[i]
+            j = rule(counts1, counts2)
+            if j is None:
+                continue
+            y = e1 * n2 + q if j == 0 else x - q + e2
+            if images[y] is not None:
+                continue
+            (counts1, e1), (counts2, e2) = c[i], d[i]
+            k = rule(counts1, counts2)
+            if k is None:
+                raise RuntimeError(f"operator path broke at {(elements1[p], elements2[q])!r} color {i}; sides not isomorphic")
+            images[y] = e1 * n1 + v if k == 0 else image - v + e2
+            energies[y] = h + (1 - 2 * j if i == 0 and j == k else 0)
+            queue.append(y)
     if len(queue) != n1 * n2:
         raise RuntimeError(f"affine crystal graph on B_{l1} (x) B_{l2} is not connected for n={n}")
     return {(elements1[x // n2], elements2[x % n2]): ((elements2[images[x] // n1], elements1[images[x] % n1]), energies[x]) for x in queue}

@@ -1,11 +1,14 @@
-"""Shared fixtures: golden displays, seeded random-state builders, a broken R-matrix,
-the sign-list tensor operators, the pairing in any order, the pass-per-l spectrum,
-the ball-moving rule, the mirror, and the carrier folded one cell at a time from a
-given exchange, `fold_pass` for T_l and `fold_inverse` for T_l^-1: the pairing's
-`iso_with_energy` or the crystal graph's `iso_oracle`."""
+"""Shared fixtures: golden displays, seeded random-state builders, the hypothesis
+strategy `states`, a broken R-matrix, the sign-list tensor operators, the pairing
+in any order, the pass-per-l spectrum, the ball-moving rule, the mirror, and the
+carrier folded one cell at a time from a given exchange, `fold_pass` for T_l and
+`fold_inverse` for T_l^-1: the pairing's `iso_with_energy` or the crystal graph's
+`iso_oracle`."""
 
 import random
 from bisect import bisect_left
+
+from hypothesis import strategies as st
 
 from boxball import crystal, tensor
 from boxball.dynamics import EnergySpectrum, State, energy
@@ -41,6 +44,14 @@ def random_state(rng, max_cells=30, max_letters=10, n=None):
     for _ in range(rng.randint(0, min(max_letters, length))):
         cells[rng.randrange(length)] = rng.randint(1, n - 1)
     return State(cells, n)
+
+
+@st.composite
+def states(draw, max_n=6, max_cells=25, max_origin=0, min_n=2, min_cells=0):
+    """A state over n = min_n..max_n of min_cells..max_cells cells, any letters, at an origin in -max_origin..max_origin."""
+    n = draw(st.integers(min_n, max_n))
+    cells = draw(st.lists(st.integers(1, n), min_size=min_cells, max_size=max_cells))
+    return State(cells, n, draw(st.integers(-max_origin, max_origin)))
 
 
 def acceptance_ensemble():

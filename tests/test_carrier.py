@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from boxball.dynamics import State, carrier_pass, energy, evolve, evolve_inverse, h_values
 from boxball.rmatrix import iso_oracle, iso_with_energy
-from helpers import acceptance_ensemble, fold_inverse, fold_pass, seeded
+from helpers import acceptance_ensemble, fold_inverse, fold_pass, seeded, states
 
 
 def assert_matches_reference(p, l):
@@ -55,15 +55,8 @@ def test_carrier_matches_tuple_reference_at_large_alphabets():
                 assert_matches_reference(p, l)
 
 
-@st.composite
-def states(draw, n_min=2, n_max=12, max_cells=25):
-    n = draw(st.integers(n_min, n_max))
-    cells = draw(st.lists(st.integers(1, n), max_size=max_cells))
-    return State(cells, n, draw(st.integers(-5, 5)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(states(), st.data())
+@given(states(max_n=12, max_origin=5), st.data())
 def test_carrier_matches_tuple_reference(p, data):
     l = data.draw(st.integers(1, p.nonvacuum_count + 2))
     assert_matches_reference(p, l)
@@ -75,7 +68,7 @@ def test_carrier_matches_tuple_reference(p, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(states(n_max=5, max_cells=25), st.integers(1, 4))
+@given(states(max_n=5, max_origin=5), st.integers(1, 4))
 def test_carrier_matches_crystal_graph(p, l):
     out, hs, _ = fold_pass(p, l, iso_oracle)
     assert evolve(p, l) == out
@@ -93,13 +86,13 @@ def test_full_inverse_undoes_full_evolution():
 
 
 @settings(max_examples=200, deadline=None)
-@given(states(n_max=6), st.integers(1, 6))
+@given(states(max_origin=5), st.integers(1, 6))
 def test_inverse_undoes_evolution(p, l):
     assert evolve_inverse(evolve(p, l), l).trim() == p.trim()
     assert evolve(evolve_inverse(p, l), l).trim() == p.trim()
 
 
 @settings(max_examples=200, deadline=None)
-@given(states(n_max=6), st.integers(1, 6), st.integers(1, 6))
+@given(states(max_origin=5), st.integers(1, 6), st.integers(1, 6))
 def test_evolutions_commute(p, k, l):
     assert evolve(evolve(p, l), k).trim() == evolve(evolve(p, k), l).trim()

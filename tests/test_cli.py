@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from boxball import dynamics, rmatrix, solitons
 from boxball.cli import main
 from boxball.dynamics import State, energy, evolve, evolve_inverse, h_values
-from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, broken_r, seeded
+from helpers import SINGLE_SOLITON_ROWS, THREE_SOLITON_ROWS, broken_r, seeded, states
 
 
 def run_cli(argv, stdin="", monkeypatch=None, capsys=None):
@@ -138,6 +138,23 @@ def test_empty_file_name_does_not_read_stdin(command, stdin, form, monkeypatch, 
     assert (code, out, err) == (2, "", "error: cannot read --file: [Errno 2] No such file or directory: ''\n")
 
 
+@pytest.mark.parametrize(
+    "command,stdin,message",
+    [
+        (["evolve"], "332...11...2\n3.x\n", "line 2: column 3: unexpected character 'x'"),
+        (["inverse", "--capacity", "2"], "332...11...2\n3.x\n", "line 2: column 3: unexpected character 'x'"),
+        (["energy"], "332...11...2\n3.x\n", "line 2: column 3: unexpected character 'x'"),
+        (["rmatrix"], "1123|23\n12|\n", "line 2: empty element text"),
+        (["scatter"], "332...11...2..............\n1.1\n", "initial soliton lengths must be strictly decreasing, got [1, 1]"),
+        (["tableau"], "332...11...2\n3.x\n", "line 2: column 3: unexpected character 'x'"),
+    ],
+)
+def test_a_refused_later_line_leaves_stdout_empty(command, stdin, message, monkeypatch, capsys):
+    # every line is read, and for scatter run, before the first is printed
+    code, out, err = run_cli([command[0], "--n", "4", *command[1:]], stdin, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_inverse_round_trip(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["inverse", "--n", "4", "--capacity", "3", "--steps", "1"],
@@ -226,14 +243,8 @@ def test_energy_table_vacuum_and_lmax(monkeypatch, capsys):
     assert out.splitlines() == ["l E N", "1 1 0", "2 2 0", "3 3 1", "4 3 0"]
 
 
-@st.composite
-def cli_states(draw):
-    n = draw(st.integers(2, 9))
-    return State(draw(st.lists(st.integers(1, n), min_size=1, max_size=30)), n)
-
-
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(p=cli_states(), lmax=st.integers(1, 40))
+@given(p=states(max_n=9, min_cells=1, max_cells=30), lmax=st.integers(1, 40))
 def test_energy_lmax_prints_exactly_lmax_rows(p, lmax, monkeypatch, capsys):
     # row l is E_l with N_l the second difference of a sweep over every l,
     # also past the point where the table stabilizes

@@ -31,6 +31,7 @@ from helpers import (
     random_state,
     reference_spectrum,
     seeded,
+    states,
 )
 
 
@@ -163,13 +164,6 @@ def test_spectrum():
 
     assert spectrum(State.from_text("...", 4)).census() == {}
     assert spectrum(State.from_text("..332..", 4)).census() == {3: 1}
-
-
-@st.composite
-def states(draw, max_cells=25, max_n=6, max_origin=0, min_n=2):
-    n = draw(st.integers(min_n, max_n))
-    cells = draw(st.lists(st.integers(1, n), max_size=max_cells))
-    return State(cells, n, draw(st.integers(-max_origin, max_origin)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,15 +368,8 @@ def test_carrier_pass_commutes_with_sl_n_minus_1(p, data):
             assert energy(State(moved, n), l) == energy(p, l)
 
 
-@st.composite
-def windows(draw):
-    """A window of up to 16 cells over n = 2..12, empty ones included, at origin -5..5."""
-    n = draw(st.integers(2, 12))
-    return State(draw(st.lists(st.integers(1, n), max_size=16)), n, draw(st.integers(-5, 5)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(windows(), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 6))
+@given(states(max_n=12, max_cells=16, max_origin=5), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 6))
 @example(State((), 3, -4), None, 3)
 @example(State((), 5, 2), 2, 4)
 def test_multistep_runs_equal_single_steps(p, l, k):
@@ -410,7 +397,7 @@ def test_mirror_example():
 
 
 @settings(max_examples=300, deadline=None)
-@given(windows(), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5))
+@given(states(max_n=12, max_cells=16, max_origin=5), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5))
 @example(State((), 3, -4), None, 3)
 def test_mirror_conjugates_evolution_into_its_inverse(p, l, k):
     m = mirror(p)
@@ -423,7 +410,7 @@ def test_mirror_conjugates_evolution_into_its_inverse(p, l, k):
 
 
 @settings(max_examples=600, deadline=None)
-@given(windows(), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5), st.booleans())
+@given(states(max_n=12, max_cells=16, max_origin=5), st.one_of(st.none(), st.integers(1, 6)), st.integers(0, 5), st.booleans())
 def test_states_stream_each_step(p, l, k, inverse):
     # the stream is lazy, checked on the call, and its h are those of each
     # forward pass at T's capacity counted once; 600 examples give each

@@ -275,9 +275,27 @@ def test_oracle_examples():
 def test_oracle_matches_pairing():
     # both length orders, so the mirrored rule (left factor shorter) too
     sizes = [(n, l1, l2) for n in (2, 3, 4, 5) for l1, l2 in itertools.product((1, 2, 3, 4), repeat=2)]
+    sizes += [(6, l1, l2) for l1, l2 in itertools.product(range(1, 6), repeat=2) if l1 + l2 <= 6]
     for n, l1, l2 in sizes:
         for (b, bp), expected in oracle_table(l1, l2, n).items():
             assert iso_with_energy(b, bp, n) == expected
+
+
+@pytest.mark.parametrize("l1, l2, n", [(5, 2, 4), (3, 3, 5), (2, 2, 7)])
+def test_e_edges_reach_every_pair(l1, l2, n):
+    # the oracle walks e_i edges only: from any pair they reach all of B_l1 (x) B_l2
+    rng = random.Random(20261020)
+    everything = set(itertools.product(crystal.elements(l1, n), crystal.elements(l2, n)))
+    for start in (((n,) * l1, (n,) * l2), rng.choice(sorted(everything))):
+        reached = {start}
+        queue = [start]
+        for t in queue:
+            for i in range(n):
+                y = tensor.tensor_e(t, i, n)
+                if y is not None and y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+        assert reached == everything
 
 
 def test_oracle_reads_only_the_crystal_graph(monkeypatch):
@@ -300,9 +318,9 @@ def test_oracle_reads_only_the_crystal_graph(monkeypatch):
 @pytest.mark.parametrize(
     "rule, message",
     [
-        # f_i acts on the left factor whenever it has a plus: on ((1, 2), (2,))
-        # f_0 acts on the left factor, but not on its image ((1,), (2, 2))
-        (lambda counts: (None, 0 if counts[0][1] else None), "operator path broke at ((1, 2), (2,)) color 0;"),
+        # e_i acts on the left factor whenever it has a minus: on ((1, 2), (2,))
+        # e_1 acts on the left factor, but not on its image ((1,), (2, 2))
+        (lambda counts: (0 if counts[0][0] else None, None), "operator path broke at ((1, 2), (2,)) color 1;"),
         # no operator acts anywhere, so the walk never leaves the all-vacuum pair
         (lambda counts: (None, None), "affine crystal graph on B_2 (x) B_1 is not connected for n=2"),
     ],
