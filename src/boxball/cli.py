@@ -11,14 +11,16 @@ from .rmatrix import format_affine
 from .tensor import parse_tensor
 
 
-# Measured under CPython 3.11 on x86-64: a case of `yang_baxter_check` takes
-# 0.3-0.6 us, and an exchange into its tables 0.8 us plus 0.12 us per letter
-# of the pair.  In units of one case, `_ybe_cost` counts an exchange of a + b
-# letters as 3 + (a + b) // 3, and each listed letter as 4, which keeps the
-# element lists under about 80 MB.  YBE_MAX_WORK units take at most about
-# 20 s (14 s at sizes 1,380,380 and n=2, the median of three runs under
-# CPython 3.11.7 on a 2-CPU x86-64 VM); YBE_MAX_CASES bounds the tables,
-# which have at most half as many entries as there are cases.
+# Measured under CPython 3.11.7 on a 2-CPU x86-64 VM: a case of
+# `yang_baxter_check` takes about 0.15 us, and an exchange into its tables
+# about 0.4 us plus at most 0.06 us per letter of the pair, in either length
+# order (3.8 us on B_20 (x) B_100, 3.5 us on B_100 (x) B_20, n=2).  In units of
+# one case, `_ybe_cost` counts an exchange of a + b letters as
+# 3 + (a + b) // 3, and each listed letter as 4, which keeps the element
+# lists under about 80 MB.  YBE_MAX_WORK units take at most about 20 s
+# (6.4 s at sizes 1,380,380 and n=2, 38 million units, the median of three
+# runs); YBE_MAX_CASES bounds the tables, which have at most half as many
+# entries as there are cases.
 YBE_MAX_CASES = 1_000_000
 YBE_MAX_WORK = 40_000_000
 

@@ -1,25 +1,31 @@
 """The combinatorial R-matrix on pairs of crystal elements.
 
 The map B_l (x) B_l' -> B_l' (x) B_l and its energy value H come from one
-pairing of the letters of the two columns, stated for l >= l': each letter
-of the right column, largest first, takes the largest free letter of the
-left column strictly below it, and a line that finds none wraps around to
-the largest free letter.  H is minus the number of lines that did not
-wrap.  The rule compares letters and never reads the alphabet size, so the
-order l < l' follows by duality: with dual(w) the letters of w negated in
-reverse order, R(b (x) b') = (dual c2, dual c1) with the same H, where
-((c1, c2), H) = R(dual b' (x) dual b).  The single-letter exchange of the
-carrier is a view of the general map.  An independent oracle recomputes
-image and H from the crystal graph alone, by propagating images along
-e_i edges from the all-vacuum anchor; H changes only on e_0 edges, by +1
-where e_0 acts on the left factor of both the pair and its image and by
--1 where it acts on the right factor of both.  It holds each pair and
-image as one integer index into the two factors' `crystal.table`s, and
-asks `tensor.targets` once per pair of factor counts.  Affinized elements
-z^d b carry an integer exponent d that the R-matrix shifts by +-H.
+winding/unwinding pairing of the letters of the two columns, stated for
+each order of the lengths.  For l >= l' the letters of the left column are
+free, and each letter of the right column, largest first, takes the
+largest free letter strictly below it, or wraps around to the largest free
+letter.  For l < l' the letters of the right column are free, and each
+letter of the left column, smallest first, takes the smallest free letter
+strictly above it, or wraps around to the smallest free letter.  The
+taken letters form the image factor as long as the column that took them,
+and the free letters with that column the other; in both orders H is
+minus the number of lines that did not wrap.  The rule compares letters
+and never reads the alphabet size.  The two orders are tied by duality,
+which the tests check rather than each call: with dual(w) the letters of
+w negated in reverse order, R(b (x) b') = (dual c2, dual c1) with the same
+H, where ((c1, c2), H) = R(dual b' (x) dual b).  The single-letter exchange
+of the carrier is a view of the general map.  An independent oracle
+recomputes image and H from the crystal graph alone, by propagating
+images along e_i edges from the all-vacuum anchor; H changes only on e_0
+edges, by +1 where e_0 acts on the left factor of both the pair and its
+image and by -1 where it acts on the right factor of both.  It holds each
+pair and image as one integer index into the two factors' `crystal.table`s,
+and asks `tensor.targets` once per pair of factor counts.  Affinized
+elements z^d b carry an integer exponent d that the R-matrix shifts by +-H.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cache, lru_cache
 from typing import NamedTuple
 
@@ -50,20 +56,24 @@ class Pairing(NamedTuple):
 
 
 def _pair(b, bp):
-    """`pair`'s loop, for len(b) >= len(bp): the left letters taken, the count of unwound lines and the free letters.
+    """The pairing loop for either order of the lengths: the letters taken, the count of unwound lines and the free letters.
 
-    The i-th taken letter is the one the i-th largest right letter takes.
+    The free letters are those of the longer column, b's on a tie, and the
+    letters of the other column probe them: largest first for a shorter
+    right column, smallest first for a shorter left one.  The i-th taken
+    letter is the one the i-th probe takes.
     """
-    free = list(b)
+    up = len(b) < len(bp)
+    # a probe takes free[k], the nearest free letter past it in the probing
+    # direction; k == wrap exactly when there is none, and then pop(wrap)
+    # takes the smallest free letter (up) or the largest
+    free, probes, find, wrap = (list(bp), b, bisect_right, 0) if up else (list(b), reversed(bp), bisect_left, -1)
     taken = []
     unwound = 0
-    for v in reversed(bp):
-        j = bisect_left(free, v)
-        if j:
-            taken.append(free.pop(j - 1))
-            unwound += 1
-        else:
-            taken.append(free.pop())
+    for v in probes:
+        k = find(free, v) - (len(free) if up else 1)
+        taken.append(free.pop(k))
+        unwound += k != wrap
     return taken, unwound, free
 
 
@@ -83,25 +93,19 @@ def pair(b, bp):
     return Pairing(tuple([(v, u, u >= v) for v, u in zip(reversed(bp), taken)]), tuple(free))
 
 
-def _dual(w):
-    """The dual column: the letters negated, in reverse order so they stay sorted."""
-    return tuple([-x for x in reversed(w)])
-
-
 def iso_with_energy(b, bp, n=None):
     """Image pair and H value of b (x) bp, for any pair of lengths.
 
     n is accepted for symmetry with the crystal functions and is unused: the
     pairing compares letters only.
     """
-    if len(b) < len(bp):
-        (c1, c2), h = iso_with_energy(_dual(bp), _dual(b))
-        return (_dual(c2), _dual(c1)), h
     taken, unwound, free = _pair(b, bp)
+    up = len(b) < len(bp)
+    free += b if up else bp
     taken.sort()
-    free += bp
     free.sort()
-    return (tuple(taken), tuple(free)), -unwound
+    c1, c2 = (free, taken) if up else (taken, free)
+    return (tuple(c1), tuple(c2)), -unwound
 
 
 def iso_single(b, v):

@@ -1,11 +1,12 @@
 """Shared fixtures: golden displays, seeded random-state builders, the hypothesis
-strategy `states`, a broken R-matrix, the sign-list tensor operators, the pairing
-in any order, the pass-per-l spectrum, the ball-moving rule, the mirror, and the
-carrier folded one cell at a time from a given exchange, `fold_pass` for T_l and
-`fold_inverse` for T_l^-1: the pairing's `iso_with_energy` or the crystal graph's
-`iso_oracle`."""
+strategy `states`, a broken R-matrix, the dual column, an exact bytecode counter,
+the sign-list tensor operators, the pairing in any order, the pass-per-l
+spectrum, the ball-moving rule, the mirror, and the carrier folded one cell at a
+time from a given exchange, `fold_pass` for T_l and `fold_inverse` for T_l^-1:
+the pairing's `iso_with_energy` or the crystal graph's `iso_oracle`."""
 
 import random
+import sys
 from bisect import bisect_left
 
 from hypothesis import strategies as st
@@ -93,6 +94,38 @@ def broken_r(b, bp, n=None):
     """
     image, h = iso_with_energy(b, bp, n)
     return image, h - (b[0] == 1)
+
+
+def dual(w):
+    """The dual column: the letters negated, in reverse order so they stay sorted."""
+    return tuple([-x for x in reversed(w)])
+
+
+def bytecode_count(fn, *args):
+    """The bytecode instructions that a call fn(*args) executes, counted after one warm-up call.
+
+    Counts the "opcode" events of the second call under `sys.settrace`,
+    in every Python frame it opens; work done inside C functions is not
+    counted.  The count is exact for one interpreter version, so ratios of
+    counts pin a cost that wall-clock timing cannot.  Restores the trace
+    function that was set before.
+    """
+    fn(*args)
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 def reference_tensor_e(t, i, n):

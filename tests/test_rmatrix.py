@@ -20,7 +20,7 @@ from boxball.rmatrix import (
     pair,
     yang_baxter_check,
 )
-from helpers import broken_r, pair_in_order
+from helpers import broken_r, bytecode_count, dual, pair_in_order
 
 
 def iso(b, bp, n=None):
@@ -426,6 +426,57 @@ def test_duality_matches_mirrored_reference(case):
     assert iso_with_energy(c1, c2, n) == ((b, bp), h)
     assert sorted(b + bp) == sorted(c1 + c2)
     assert -min(len(b), len(bp)) <= h <= 0
+
+
+@st.composite
+def pairs_in_either_order(draw):
+    n = draw(st.integers(2, 12))
+    word = lambda: tuple(sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=40))))
+    return word(), word()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_in_either_order())
+def test_duality_ties_the_two_orders(case):
+    """R(b (x) b') = (dual c2, dual c1) with the same H, where ((c1, c2), H) = R(dual b' (x) dual b).
+
+    The library states the pairing for each order of the lengths in one
+    loop; this identity, checked here and not on each call, ties a pair in
+    one order to its dual in the other (l, l' up to 40, n up to 12).
+    """
+    b, bp = case
+    (c1, c2), h = iso_with_energy(dual(bp), dual(b))
+    assert iso_with_energy(b, bp) == ((dual(c2), dual(c1)), h)
+
+
+def length_orders(l):
+    """Seeded B_l (x) B_2l and B_2l (x) B_l pairs at n = 4."""
+    rng = random.Random(l)
+    word = lambda k: tuple(sorted(rng.randint(1, 4) for _ in range(k)))
+    return (word(l), word(2 * l)), (word(2 * l), word(l))
+
+
+def test_pairing_cost_is_linear_in_length():
+    """Pins iso_with_energy to O(l) bytecode instructions in both length orders.
+
+    Doubling l on B_l (x) B_2l and on B_2l (x) B_l, for l = 10, 20, 40, 80,
+    at most multiplies the executed instruction count by 2.2.
+    """
+    counts = [[bytecode_count(iso_with_energy, *case) for case in length_orders(l)] for l in (10, 20, 40, 80)]
+    for small, big in zip(counts, counts[1:]):
+        assert all(y <= 2.2 * x for x, y in zip(small, big)), counts
+
+
+def test_short_left_costs_about_its_mirror():
+    """Pins the short-left order to the long-left order's cost: no run-time duality round trip.
+
+    A pair b (x) b' with l < l' executes at most 1.25 times the bytecode
+    instructions of its mirror dual(b') (x) dual(b), at l = 10 and l = 80.
+    """
+    for l in (10, 80):
+        (b, bp), _ = length_orders(l)
+        short, mirrored = bytecode_count(iso_with_energy, b, bp), bytecode_count(iso_with_energy, dual(bp), dual(b))
+        assert short <= 1.25 * mirrored, (l, short, mirrored)
 
 
 def test_format_affine():
