@@ -26,7 +26,7 @@ print(f"R({format_affine(x)} (x) {format_affine(y)}) = {format_affine(u)} (x) {f
 print(f"round trip: {apply_r(u, v, n) == (x, y)}")
 print()
 
-print("the graph oracle recomputes the same map from e_i/f_i edges alone:")
+print("the graph oracle recomputes the same map from e_i edges alone:")
 print(f"  oracle((1123),(12)) = {iso_oracle((1, 1, 2, 3), (1, 2), n)}")
 print()
 

@@ -1,26 +1,18 @@
 """Command-line front end with stable, golden-file friendly text output."""
 
 import argparse
-import math
 import sys
 
 from . import dynamics, rmatrix, solitons
 from .crystal import format_element
 from .dynamics import State, _integer
-from .rmatrix import format_affine
+from .rmatrix import _ybe_cost, format_affine
 from .tensor import parse_tensor
 
 
-# Measured under CPython 3.11.7 on a 2-CPU x86-64 VM: a case of
-# `yang_baxter_check` takes about 0.15 us, and an exchange into its tables
-# about 0.4 us plus at most 0.06 us per letter of the pair, in either length
-# order (3.8 us on B_20 (x) B_100, 3.5 us on B_100 (x) B_20, n=2).  In units of
-# one case, `_ybe_cost` counts an exchange of a + b letters as
-# 3 + (a + b) // 3, and each listed letter as 4, which keeps the element
-# lists under about 80 MB.  YBE_MAX_WORK units take at most about 20 s
-# (6.4 s at sizes 1,380,380 and n=2, 38 million units, the median of three
-# runs); YBE_MAX_CASES bounds the tables, which have at most half as many
-# entries as there are cases.
+# Budgets of `ybe` in the units of `rmatrix._ybe_cost`, one case each.
+# YBE_MAX_CASES bounds the tables, which have at most half as many entries
+# as there are cases.
 YBE_MAX_CASES = 1_000_000
 YBE_MAX_WORK = 40_000_000
 
@@ -130,16 +122,6 @@ def cmd_rmatrix(args):
         (c1, c2), h = rmatrix.iso_with_energy(b, bp)
         print(f"({format_element(c1, args.n)})|({format_element(c2, args.n)}) H={h}")
     return 0
-
-
-def _ybe_cost(sizes, n):
-    """Cases and work of `yang_baxter_check` on these sizes, work in units of one case."""
-    size = {l: math.comb(l + n - 1, n - 1) for l in sizes}
-    l1, l2, l3 = sizes
-    cases = math.prod(size[l] for l in sizes)
-    exchanges = sum(size[a] * size[b] * (3 + (a + b) // 3) for a, b in {(l1, l2), (l2, l3), (l1, l3)})
-    letters = sum(size[l] * l for l in size)
-    return cases, cases + exchanges + 4 * letters
 
 
 def cmd_ybe(args):

@@ -233,6 +233,7 @@ def state_with_solitons(placements, n, tail=2):
 
     `tail` vacuum cells follow the rightmost soliton.
     """
+    _check_int("alphabet size", n, 2)
     _check_int("tail", tail, 0)
     if not placements:
         return State((n,) * tail, n)
@@ -242,7 +243,7 @@ def state_with_solitons(placements, n, tail=2):
     cells = [n] * (end + tail)
     for pos, word in placements:
         for k, x in enumerate(word):
-            if not 1 <= x < n:
+            if type(x) is not int or not 1 <= x < n:
                 raise ValueError(f"soliton letter {x!r} out of range 1..{n - 1}")
             if cells[pos + k] != n:
                 raise ValueError(f"overlapping solitons at position {pos + k}")

@@ -1,5 +1,6 @@
 """Shared fixtures: golden displays, seeded random-state builders, the hypothesis
-strategy `states`, a broken R-matrix, the dual column, an exact bytecode counter,
+strategy `states`, a broken R-matrix, the Yang-Baxter check walked triple by
+triple, the dual column, an exact bytecode counter,
 the sign-list tensor operators, the pairing in any order, the pass-per-l
 spectrum, the ball-moving rule, the mirror, and the carrier folded one cell at a
 time from a given exchange, `fold_pass` for T_l and `fold_inverse` for T_l^-1:
@@ -8,12 +9,13 @@ the pairing's `iso_with_energy` or the crystal graph's `iso_oracle`."""
 import random
 import sys
 from bisect import bisect_left
+from itertools import product
 
 from hypothesis import strategies as st
 
 from boxball import crystal, tensor
 from boxball.dynamics import EnergySpectrum, State, energy
-from boxball.rmatrix import Pairing, iso_with_energy
+from boxball.rmatrix import Affine, Pairing, YangBaxterReport, apply_r, iso_with_energy
 from boxball.solitons import state_with_solitons
 
 # Three solitons of lengths 3, 2, 1 scattering over seven time steps.
@@ -94,6 +96,25 @@ def broken_r(b, bp, n=None):
     """
     image, h = iso_with_energy(b, bp, n)
     return image, h - (b[0] == 1)
+
+
+def reference_yang_baxter(l1, l2, l3, n):
+    """`yang_baxter_check` spelled out: (R x 1)(1 x R)(R x 1) against (1 x R)(R x 1)(1 x R) through `apply_r`.
+
+    Walks the triples of zero exponents in the order of `itertools.product`
+    over the three `crystal.elements`, counts them, and stops at the first
+    one on which the two sides differ.
+    """
+    r12 = lambda x, y, z: (*apply_r(x, y, n), z)
+    r23 = lambda x, y, z: (x, *apply_r(y, z, n))
+    cases = 0
+    for triple in product(*(crystal.elements(l, n) for l in (l1, l2, l3))):
+        start = tuple(Affine(0, b) for b in triple)
+        lhs, rhs = r12(*r23(*r12(*start))), r23(*r12(*r23(*start)))
+        cases += 1
+        if lhs != rhs:
+            return YangBaxterReport(False, cases, (start, lhs, rhs))
+    return YangBaxterReport(True, cases)
 
 
 def dual(w):

@@ -275,6 +275,9 @@ def test_rmatrix_command(monkeypatch, capsys):
         ["rmatrix", "--n", "4"], stdin="1123|12\n2344|12\n", monkeypatch=monkeypatch, capsys=capsys
     )
     assert out.splitlines() == ["(13)|(1122) H=-1", "(44)|(1223) H=0"]
+    # comma-separated letters are read at n <= 9 too, as `scatter` prints labels
+    code, out, _ = run_cli(["rmatrix", "--n", "4", "2,3,3|1,1"], monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (0, "(33)|(112) H=0\n")
 
 
 def test_rmatrix_rejects_bad_input(monkeypatch, capsys):

@@ -121,6 +121,8 @@ def test_parse_format():
     assert crystal.format_element((1, 1, 3, 3, 4), 4) == "11334"
     assert crystal.parse_element("2,10,11", 12) == (2, 10, 11)
     assert crystal.format_element((2, 10, 11), 12) == "2,10,11"
+    # for n <= 9 commas are read too, as `scatter` prints label elements
+    assert crystal.parse_element("2,3,3", 4) == (2, 3, 3)
     with pytest.raises(ValueError):
         crystal.parse_element("321", 4)
     with pytest.raises(ValueError):

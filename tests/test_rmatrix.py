@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -20,7 +22,7 @@ from boxball.rmatrix import (
     pair,
     yang_baxter_check,
 )
-from helpers import broken_r, bytecode_count, dual, pair_in_order
+from helpers import broken_r, bytecode_count, dual, pair_in_order, reference_yang_baxter
 
 
 def iso(b, bp, n=None):
@@ -209,6 +211,7 @@ def test_yang_baxter_small(n, sizes):
 
 
 def test_yang_baxter_exchanges_each_pair_once(monkeypatch):
+    n = 3
     calls = []
 
     def counted(b, bp, n=None):
@@ -216,9 +219,47 @@ def test_yang_baxter_exchanges_each_pair_once(monkeypatch):
         return iso_with_energy(b, bp, n)
 
     monkeypatch.setattr(rmatrix, "iso_with_energy", counted)
-    report = yang_baxter_check(2, 3, 2, 3)
-    assert report.ok and report.cases == 6 * 10 * 6
-    assert calls and len(set(calls)) == len(calls)
+    # the last three repeat a size pair among the three positions
+    for sizes in [(2, 3, 2), (2, 2, 2), (1, 2, 2), (2, 2, 1)]:
+        calls.clear()
+        report = yang_baxter_check(*sizes, n)
+        size = {l: math.comb(l + n - 1, n - 1) for l in sizes}
+        assert report.ok and report.cases == math.prod(size[l] for l in sizes)
+        assert calls and len(set(calls)) == len(calls)
+        # one exchange per pair of each distinct size pair, as `_ybe_cost` prices them
+        l1, l2, l3 = sizes
+        exchanges = collections.Counter((len(b), len(bp)) for b, bp, _ in calls)
+        assert exchanges == {(a, b): size[a] * size[b] for a, b in {(l1, l2), (l2, l3), (l1, l3)}}
+        cases, work = rmatrix._ybe_cost(sizes, n)
+        priced = sum(k * (3 + (a + b) // 3) for (a, b), k in exchanges.items())
+        assert (cases, work) == (report.cases, cases + priced + 4 * sum(size[l] * l for l in size))
+
+
+@pytest.mark.parametrize(
+    "sizes, n, broken",
+    [
+        ((1, 1, 1), 2, False),
+        ((2, 1, 1), 3, False),
+        ((1, 2, 3), 3, False),
+        ((3, 3, 3), 3, False),
+        ((3, 1, 3), 4, False),
+        ((2, 1, 1), 2, True),
+        ((2, 1, 1), 3, True),
+        ((1, 2, 3), 3, True),
+        ((2, 3, 2), 3, True),
+        ((3, 1, 3), 4, True),
+        ((1, 2, 1), 2, True),
+        ((2, 2, 1), 3, True),
+    ],
+)
+def test_yang_baxter_matches_the_triple_walk(monkeypatch, sizes, n, broken):
+    # the case count of a pass is the product of the sizes, and of a failure
+    # the position of the failing triple: both as a walk that counts them
+    if broken:
+        monkeypatch.setattr(rmatrix, "iso_with_energy", broken_r)
+    report = yang_baxter_check(*sizes, n)
+    assert report == reference_yang_baxter(*sizes, n)
+    assert report.ok is not broken
 
 
 def test_yang_baxter_reports_a_counterexample(monkeypatch):

@@ -478,3 +478,12 @@ def test_state_with_solitons_validation():
     for pos in (-1, 2.5, "2", None, True):
         with pytest.raises(ValueError, match=f"^soliton position must be an integer >= 0, got {re.escape(repr(pos))}$"):
             state_with_solitons([(0, (3,)), (pos, (1,))], 4)
+    # a letter is an int in 1..n-1, and n an int >= 2, checked before any letter
+    for placements, n, message in [
+        ([(0, "21")], 4, "soliton letter '2' out of range 1..3"),
+        ([(0, (True,))], 4, "soliton letter True out of range 1..3"),
+        ([(0, (1,))], "4", "alphabet size must be an integer >= 2, got '4'"),
+        ([(0, (1,))], 1, "alphabet size must be an integer >= 2, got 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            state_with_solitons(placements, n)
