@@ -20,12 +20,19 @@ T_l with the order of the letters 1..n-1 reversed, because T_l^-1 is T_l
 conjugated by the mirror, which reflects a state about position 0 and
 swaps each letter x < n with n - x.  So one kernel, `_sweep`, serves both
 directions and `energy`: for the inverse it reverses only its order of
-cells and the direction of its scans over the letters.  `states` streams
-the state after each pass of a run, either way, unchecked, counting T's
-capacity once per run and keeping only the current cells; `carrier_pass`,
-the CLI and `run_scattering` are views of it, and `h_values` reads a
-pass's h off its two states.  `evolve` and `evolve_inverse` are the last
-states of the forward and the inverse stream.
+cells and the direction of its scans over the letters.  It runs two
+loops over one iterator of the cells: while the carrier is empty, a cell
+costs one emitted vacuum and a test for a letter to take; while it holds
+a letter, the full exchange runs, until its load drops back to 0.  Most
+cells of a sparse state are vacuum met by an empty carrier, so they never
+pay for the exchange.
+
+`states` streams the state after each pass of a run, either way,
+unchecked, counting T's capacity once per run and keeping only the
+current cells; `carrier_pass`, the CLI and `run_scattering` are views of
+it, and `h_values` reads a pass's h off its two states.  `evolve` and
+`evolve_inverse` are the last states of the forward and the inverse
+stream.
 """
 
 from operator import gt
@@ -166,6 +173,11 @@ def _sweep(cells, n, l, inverse=False):
     or a letter joining a full carrier, the largest held letter leaves.  A
     vacuum cell never joins, so the drain over vacuum cells added after the
     last cell emits the held letters largest first, one per cell.
+
+    The empty-carrier loop emits the vacuum for each cell and hands the
+    first letter it meets to the loaded-carrier loop, which applies the
+    rules above and returns to it when a vacuum cell takes the last held
+    letter.  Either loop may exhaust the cells; the drain follows.
     """
     # in the pass's order of the letters, d steps from v towards the letters
     # below it, top is the largest letter, and held[stop] = 1 ends the scan
@@ -173,37 +185,39 @@ def _sweep(cells, n, l, inverse=False):
     d, stop, top = (-1, n, 1) if inverse else (1, 0, n - 1)
     held = [0] * (n + 1)  # held[x] counts the letter x in 1..n-1
     held[stop] = 1
-    load = 0
     out = []
     emit = out.append
-    for v in reversed(cells) if inverse else cells:
-        if not load:
-            if v != n:
-                held[v] = load = 1
-            emit(n)
-            continue
+    cells = iter(reversed(cells) if inverse else cells)
+    for v in cells:
+        emit(n)
         if v == n:
-            load -= 1
-        else:
-            x = v - d
+            continue
+        held[v] = load = 1
+        for v in cells:
+            if v == n:
+                load -= 1
+            else:
+                x = v - d
+                while not held[x]:
+                    x -= d
+                held[v] += 1
+                if x != stop:
+                    held[x] -= 1
+                    emit(x)
+                    continue
+                if load < l:
+                    load += 1
+                    emit(n)
+                    continue
+            # a vacuum cell, or a letter that found a full carrier with nothing
+            # held below it: the largest held letter leaves
+            x = top
             while not held[x]:
                 x -= d
-            held[v] += 1
-            if x != stop:
-                held[x] -= 1
-                emit(x)
-                continue
-            if load < l:
-                load += 1
-                emit(n)
-                continue
-        # a vacuum cell, or a letter that found a full carrier with nothing
-        # held below it: the largest held letter leaves
-        x = top
-        while not held[x]:
-            x -= d
-        held[x] -= 1
-        emit(x)
+            held[x] -= 1
+            emit(x)
+            if not load:
+                break
     for x in range(top, stop, -d):
         out += [x] * held[x]
     if inverse:

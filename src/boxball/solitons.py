@@ -205,18 +205,22 @@ def bump_tableau(p):
 
     Letters are read right to left with the vacuum dropped, then
     Schensted row-inserted in order; the result is invariant under every
-    time evolution.
+    time evolution.  Below n = 256 the vacuum is dropped in C, by
+    `bytes.translate`, so the cost follows the letters, not the window.
+    A letter no smaller than a row's last one is appended to it; any other
+    bumps the row's first letter above it, found by `bisect_right`.  Rows
+    are plain lists of letters, so neither time nor memory depends on n.
     """
     n = p.n
+    cells = p.cells
+    word = bytes(cells).translate(None, bytes((n,))) if n < 256 else [x for x in cells if x != n]
     rows = []
-    for x in reversed(p.cells):
-        if x == n:
-            continue
+    for x in reversed(word):
         for row in rows:
-            j = bisect_right(row, x)
-            if j == len(row):
+            if x >= row[-1]:
                 row.append(x)
                 break
+            j = bisect_right(row, x)
             row[j], x = x, row[j]
         else:
             rows.append([x])

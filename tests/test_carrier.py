@@ -11,12 +11,13 @@ cells in and out must equal the R-matrix's.  Over `iso_oracle`, read from
 the crystal graph alone, they check T_l and T_l^-1 without the pairing.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxball.dynamics import State, carrier_pass, energy, evolve, evolve_inverse, h_values
+from boxball.dynamics import State, _sweep, carrier_pass, energy, evolve, evolve_inverse, h_values
 from boxball.rmatrix import iso_oracle, iso_with_energy
-from helpers import acceptance_ensemble, fold_inverse, fold_pass, seeded, states
+from helpers import acceptance_ensemble, bytecode_count, fold_inverse, fold_pass, seeded, states
 
 
 def assert_matches_reference(p, l):
@@ -53,6 +54,37 @@ def test_carrier_matches_tuple_reference_at_large_alphabets():
             p = State(cells, n, rng.randint(-5, 5))
             for l in {1, 2, 3, max(1, p.nonvacuum_count)}:
                 assert_matches_reference(p, l)
+
+
+@pytest.mark.parametrize(
+    "text, n, l",
+    [
+        ("", 4, 1),  # the empty window
+        ("....", 4, 2),  # the carrier never loads
+        ("..21", 4, 2),  # the last cell finds the carrier loaded, so the drain runs
+        ("1.", 3, 1),  # forwards, the carrier empties at the last cell
+        (".1", 3, 1),  # backwards, likewise
+        ("21", 4, 1),  # a letter meets a full carrier with nothing held below it, either way
+        ("1.11..1.", 2, 1),  # n = 2: the only letter is 1
+        ("1.11..1.", 2, 2),
+    ],
+)
+def test_sweep_exits_match_tuple_reference(text, n, l):
+    """The exits of the empty-carrier and the loaded-carrier loops, in both directions."""
+    p = State.from_text(text, n)
+    assert evolve(p, l) == fold_pass(p, l, iso_with_energy)[0]
+    assert evolve_inverse(p, l) == fold_inverse(p, l, iso_with_energy)
+
+
+def test_sweep_cost_per_empty_vacuum_cell():
+    """Pins _sweep to a linear cost of at most 13 bytecode instructions per vacuum cell an empty carrier meets.
+
+    Over all-vacuum windows, in both directions, 1,000 more cells execute at
+    most 13,000 more instructions.
+    """
+    for inverse in (False, True):
+        small, big = (bytecode_count(_sweep, (4,) * size, 4, 3, inverse) for size in (1000, 2000))
+        assert big - small <= 13_000, (inverse, small, big)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 import re
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +22,7 @@ from boxball.solitons import (
     state_with_solitons,
 )
 from boxball import solitons, tensor
-from helpers import THREE_SOLITON_ROWS, random_content, random_separated_state, seeded
+from helpers import THREE_SOLITON_ROWS, bytecode_count, random_content, random_separated_state, seeded
 
 IN_LABELS = (Affine(0, (2, 3, 3)), Affine(-6, (1, 1)), Affine(-11, (2,)))
 OUT_LABELS = (Affine(-8, (3,)), Affine(-4, (1, 3)), Affine(-5, (1, 2, 2)))
@@ -418,16 +419,67 @@ def reference_bump(rows, x):
     rows.append([x])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_bump_tableau_matches_row_insertion(data):
-    n = data.draw(st.integers(2, 12))
-    cells = data.draw(st.lists(st.integers(1, n), max_size=30))
+def reference_tableau(cells, n):
+    """The row-bumping tableau by `reference_bump`, the cells read right to left with the vacuum dropped."""
     rows = []
     for x in reversed(cells):
         if x != n:
             reference_bump(rows, x)
-    assert bump_tableau(State(cells, n)) == tuple(tuple(r) for r in rows)
+    return tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bump_tableau_matches_row_insertion(data):
+    # n >= 256 takes the list path of bump_tableau: bytes only hold 0..255
+    n = data.draw(st.integers(2, 12) | st.sampled_from((255, 256, 300)))
+    if data.draw(st.booleans()):
+        cells = data.draw(st.lists(st.integers(1, n), max_size=30))
+    else:
+        # a long sparse window: a few letters in a run of vacuum
+        cells = [n] * data.draw(st.integers(1, 2000))
+        for k, x in data.draw(st.dictionaries(st.integers(0, len(cells) - 1), st.integers(1, n), max_size=20)).items():
+            cells[k] = x
+    assert bump_tableau(State(cells, n)) == reference_tableau(cells, n)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_bump_tableau_with_every_letter_at_the_byte_limit(n):
+    """Every letter 1..n-1, on either side of the n < 256 path that drops the vacuum in C."""
+    rng = seeded(n)
+    cells = [*range(1, n), *(rng.randint(1, n - 1) for _ in range(2 * n)), *(n,) * n]
+    rng.shuffle(cells)
+    tableau = bump_tableau(State(cells, n))
+    assert tableau == reference_tableau(cells, n)
+    assert set(chain.from_iterable(tableau)) == set(range(1, n))
+
+
+def test_tableau_cost_does_not_grow_with_the_vacuum():
+    """Pins bump_tableau to a bytecode count independent of the window at fixed letters.
+
+    The same ten letters in n = 4 windows of 1,000 and 4,000 cells execute
+    within a factor 1.1 of each other, because the vacuum is dropped in C.
+    """
+    rng = seeded(38)
+    letters = {k: rng.randint(1, 3) for k in rng.sample(range(1000), 10)}
+    small, big = (bytecode_count(bump_tableau, State([letters.get(k, 4) for k in range(size)], 4)) for size in (1000, 4000))
+    assert big <= 1.1 * small, (small, big)
+
+
+def test_tableau_cost_does_not_grow_with_the_alphabet():
+    """Pins bump_tableau to a bytecode count independent of n at fixed cells.
+
+    A row insertion is one `bisect_right` over the row, so the same short
+    state costs the same instructions at n = 4 as at n = 255 on the path
+    that drops the vacuum in C, and the same at n = 256 as at n = 10**6 on
+    the list path.  Rows held as n + 1 letter counts would cost O(n) per
+    row here and allocate O(n) memory.
+    """
+    def cost(n):
+        return bytecode_count(bump_tableau, State([2, n, 1, 1, n, 3, 1, n], n))
+
+    assert cost(4) == cost(255)
+    assert cost(256) == cost(10**6)
 
 
 def test_tableau_is_semistandard():
