@@ -21,13 +21,16 @@ images along e_i edges from the all-vacuum anchor; H changes only on e_0
 edges, by +1 where e_0 acts on the left factor of both the pair and its
 image and by -1 where it acts on the right factor of both.  It holds each
 pair and image as one integer index into the two factors' `crystal.table`s,
-and asks `tensor.targets` once per pair of factor counts.  Affinized
-elements z^d b carry an integer exponent d that the R-matrix shifts by +-H.
+and reads the factor e_i acts on from two tables that it fills per call,
+asking `tensor.targets` once per pair of integer codes of the two factors'
+counts.  Affinized elements z^d b carry an integer exponent d that the
+R-matrix shifts by +-H.
 """
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cache, lru_cache
+from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from . import crystal, tensor
@@ -223,44 +226,53 @@ def oracle_table(l1, l2, n):
     of every i-string, a proper upper part sums phi_i - epsilon_i to more
     than zero, and each pair sums phi_i - epsilon_i over i to zero.
     A pair of positions (p, q) in the two `crystal.table`s is the index
-    p * |B_l2| + q, its image (u, v) the index u * |B_l1| + v, and the
-    factor e_i acts on is looked up per call by the two factors'
-    (epsilon_i, phi_i) counts, each count pair going through
-    `tensor.targets` once.  Independent of the pairing algorithm.
+    p * |B_l2| + q, its image (u, v) the index u * |B_l1| + v.  Each call
+    gives each table's distinct (epsilon_i, phi_i) counts small integer
+    codes and asks `tensor.targets` once per pair of codes, for two
+    rectangular tables of the factor e_i acts on: for pairs indexed by
+    [code in B_l1][code in B_l2], for images by [code in B_l2][code in
+    B_l1].  The keys come in lexicographic order of positions.
+    Independent of the pairing algorithm.
     """
     _check_sizes((l1, l2), n)
     elements1, moves1 = crystal.table(l1, n)
     elements2, moves2 = crystal.table(l2, n)
     n1, n2 = len(elements1), len(elements2)
+    # a move becomes (code of (epsilon_i, phi_i), position of e_i b), codes
+    # numbered 0, 1, ... per table in order of appearance
+    codes1, codes2 = {}, {}
+    moves1 = [[(codes1.setdefault(counts, len(codes1)), e) for counts, e in row] for row in moves1]
+    moves2 = [[(codes2.setdefault(counts, len(codes2)), e) for counts, e in row] for row in moves2]
+    pair_rule = [[tensor.targets((c1, c2))[0] for c2 in codes2] for c1 in codes1]
+    image_rule = [[tensor.targets((c2, c1))[0] for c1 in codes1] for c2 in codes2]
     # the all-vacuum elements come last in lexicographic order
     images = [None] * (n1 * n2)
     energies = [0] * (n1 * n2)
     queue = [n1 * n2 - 1]
     images[-1] = n1 * n2 - 1
-    rule = cache(lambda *counts: tensor.targets(counts)[0])
     for x in queue:
         image, h = images[x], energies[x]
         p, q = divmod(x, n2)
         u, v = divmod(image, n1)
         a, b, c, d = moves1[p], moves2[q], moves2[u], moves1[v]
-        for i in range(n):
-            (counts1, e1), (counts2, e2) = a[i], b[i]
-            j = rule(counts1, counts2)
+        for i, (code1, e1), (code2, e2) in zip(range(n), a, b):
+            j = pair_rule[code1][code2]
             if j is None:
                 continue
             y = e1 * n2 + q if j == 0 else x - q + e2
             if images[y] is not None:
                 continue
-            (counts1, e1), (counts2, e2) = c[i], d[i]
-            k = rule(counts1, counts2)
+            (code2, e2), (code1, e1) = c[i], d[i]
+            k = image_rule[code2][code1]
             if k is None:
                 raise RuntimeError(f"operator path broke at {(elements1[p], elements2[q])!r} color {i}; sides not isomorphic")
-            images[y] = e1 * n1 + v if k == 0 else image - v + e2
+            images[y] = e2 * n1 + v if k == 0 else image - v + e1
             energies[y] = h + (1 - 2 * j if i == 0 and j == k else 0)
             queue.append(y)
     if len(queue) != n1 * n2:
         raise RuntimeError(f"affine crystal graph on B_{l1} (x) B_{l2} is not connected for n={n}")
-    return {(elements1[x // n2], elements2[x % n2]): ((elements2[images[x] // n1], elements1[images[x] % n1]), energies[x]) for x in queue}
+    image_pairs = list(product(elements2, elements1))
+    return dict(zip(product(elements1, elements2), zip(map(image_pairs.__getitem__, images), energies)))
 
 
 def iso_oracle(b, bp, n):

@@ -1,10 +1,11 @@
 """Shared fixtures: golden displays, seeded random-state builders, the hypothesis
 strategy `states`, a broken R-matrix, the Yang-Baxter check walked triple by
-triple, the dual column, an exact bytecode counter,
-the sign-list tensor operators, the pairing in any order, the pass-per-l
-spectrum, the ball-moving rule, the mirror, and the carrier folded one cell at a
-time from a given exchange, `fold_pass` for T_l and `fold_inverse` for T_l^-1:
-the pairing's `iso_with_energy` or the crystal graph's `iso_oracle`."""
+triple, the dual column, R and H as the tropical formula on letter counts, an
+exact bytecode counter, the sign-list tensor operators, the pairing in any
+order, the pass-per-l spectrum, the ball-moving rule, the mirror, and the
+carrier folded one cell at a time from a given exchange, `fold_pass` for T_l
+and `fold_inverse` for T_l^-1: the pairing's `iso_with_energy` or the crystal
+graph's `iso_oracle`."""
 
 import random
 import sys
@@ -120,6 +121,33 @@ def reference_yang_baxter(l1, l2, l3, n):
 def dual(w):
     """The dual column: the letters negated, in reverse order so they stay sorted."""
     return tuple([-x for x in reversed(w)])
+
+
+def tropical_r(b, bp, n):
+    """R and H on B_l (x) B_l' as a piecewise-linear formula on letter counts, ((c1, c2), H).
+
+    The rule for symmetric tensors of Hatayama, Hikami, Inoue, Kuniba,
+    Takagi and Tokihiro (2001), in the library's convention.  With x_a and
+    y_a the counts of the letter a in b and in bp, letters read cyclically
+    in 1..n, Q_a is the least over k = 1..n of x_{a+1} + ... + x_{a+k-1}
+    plus y_{a+k+1} + ... + y_{a+n}, and Q_0 = Q_n.  The image c1 has
+    y_a + Q_{a-1} - Q_a letters a, c2 has x_a + Q_a - Q_{a-1}, and H = -Q_n.
+    One formula serves both orders of the lengths.
+    """
+    x, y = [0] * (n + 1), [0] * (n + 1)
+    for v in b:
+        x[v] += 1
+    for v in bp:
+        y[v] += 1
+    count = lambda c, a, m: c[(a + m - 1) % n + 1]  # of the letter a + m, read cyclically
+    # a = 0 reads the same letters as a = n, so q[0] = Q_0 = Q_n
+    q = [
+        min(sum(count(x, a, m) for m in range(1, k)) + sum(count(y, a, m) for m in range(k + 1, n + 1)) for k in range(1, n + 1))
+        for a in range(n + 1)
+    ]
+    c1 = tuple(a for a in range(1, n + 1) for _ in range(y[a] + q[a - 1] - q[a]))
+    c2 = tuple(a for a in range(1, n + 1) for _ in range(x[a] + q[a] - q[a - 1]))
+    return (c1, c2), -q[n]
 
 
 def bytecode_count(fn, *args):

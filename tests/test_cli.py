@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -347,6 +351,17 @@ def test_ybe_command(monkeypatch, capsys):
         "lhs:   z^{-3}(1) z^{0}(2) z^{3}(1,1)",
         "rhs:   z^{-2}(1) z^{-1}(2) z^{3}(1,1)",
     ]
+
+
+def test_module_entry_point():
+    # `python -m boxball.cli` runs sys.exit(main()); -S keeps site .pth files out
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    run = lambda *args: subprocess.run([sys.executable, "-S", "-m", "boxball.cli", "ybe", *args], env=env, capture_output=True, text=True)
+    done = run("--n", "4", "--sizes", "1,2,2")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "PASS sizes=1,2,2 n=4 cases=400\n", "")
+    done = run("--n", "5", "--sizes", "5,5,5")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: --sizes 5,5,5 at n=5 needs 2000376 cases, more than the limit of 1000000\n"
 
 
 def test_ybe_work_budget(monkeypatch, capsys):

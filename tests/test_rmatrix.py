@@ -22,7 +22,8 @@ from boxball.rmatrix import (
     pair,
     yang_baxter_check,
 )
-from helpers import broken_r, bytecode_count, dual, pair_in_order, reference_yang_baxter
+from boxball.solitons import predict_two_body
+from helpers import broken_r, bytecode_count, dual, pair_in_order, reference_yang_baxter, tropical_r
 
 
 def iso(b, bp, n=None):
@@ -376,6 +377,31 @@ def test_oracle_reports_a_broken_graph(monkeypatch, rule, message):
         oracle_table.cache_clear()
 
 
+def test_oracle_cost_is_linear_in_the_edges():
+    """Pins the oracle's walk to O(1) bytecode instructions per edge of B_l1 (x) B_l2.
+
+    The graph has |B_l1| * |B_l2| * n edges: 24,500 at (4, 4, 5) and 1,125
+    at (2, 2, 5), a ratio of 21.78.  The instruction counts stay within 1.1
+    times that ratio.
+    """
+    edges = lambda l1, l2, n: math.comb(l1 + n - 1, n - 1) * math.comb(l2 + n - 1, n - 1) * n
+    small, big = (bytecode_count(oracle_table.__wrapped__, *size) for size in ((2, 2, 5), (4, 4, 5)))
+    assert big <= 1.1 * edges(4, 4, 5) / edges(2, 2, 5) * small, (small, big)
+
+
+@pytest.mark.parametrize("l1, l2, n, bound", [(4, 1, 3, 90), (4, 4, 5, 450)])
+def test_oracle_asks_the_signature_rule_per_pair_of_counts(monkeypatch, l1, l2, n, bound):
+    # at most twice (pairs and images) per pair of distinct (epsilon_i, phi_i)
+    # counts of the two factors, however many pairs the walk visits
+    codes = [len({counts for row in crystal.table(l, n)[1] for counts, _ in row}) for l in (l1, l2)]
+    assert 2 * codes[0] * codes[1] == bound
+    calls = []
+    targets = tensor.targets
+    monkeypatch.setattr(tensor, "targets", lambda counts: calls.append(counts) or targets(counts))
+    oracle_table.__wrapped__(l1, l2, n)
+    assert 0 < len(calls) <= bound
+
+
 def test_local_axioms_at_large_sizes():
     # B_l (x) B_l' is connected as an affine crystal, so these axioms fix R
     # and H; the checks need only the signature rule, never the pairing rule
@@ -488,6 +514,34 @@ def test_duality_ties_the_two_orders(case):
     b, bp = case
     (c1, c2), h = iso_with_energy(dual(bp), dual(b))
     assert iso_with_energy(b, bp) == ((dual(c2), dual(c1)), h)
+
+
+@st.composite
+def long_pairs(draw):
+    n = draw(st.integers(2, 20))
+    word = lambda: tuple(sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=200))))
+    return word(), word(), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_pairs())
+def test_tropical_formula_matches_pairing(case):
+    """The pairing equals R and H as the piecewise-linear formula on letter counts, `helpers.tropical_r`.
+
+    Both orders of each pair, l and l' up to 200 and n up to 20.  The
+    two-body scattering rule shifts the exponents by 2 * l_short + H with
+    the formula's H.
+    """
+    assert tropical_r((1, 1, 2, 3), (2, 3), 4) == (((1, 2), (1, 2, 3, 3)), -2)
+    assert tropical_r((2, 3), (1, 1, 2, 3), 4) == (((1, 2, 2, 3), (1, 3)), -1)
+    b, bp, n = case
+    for x, y in ((b, bp), (bp, b)):
+        assert iso_with_energy(x, y) == tropical_r(x, y, n)
+    if len(b) != len(bp):
+        long, short = sorted((b, bp), key=len, reverse=True)
+        (c1, c2), h = tropical_r(long, short, n)
+        delta = 2 * len(short) + h
+        assert predict_two_body(Affine(3, long), Affine(-5, short)) == (Affine(-5 + delta, c1), Affine(3 - delta, c2))
 
 
 def length_orders(l):
