@@ -23,8 +23,12 @@ image and by -1 where it acts on the right factor of both.  It holds each
 pair and image as one integer index into the two factors' `crystal.table`s,
 and reads the factor e_i acts on from two tables that it fills per call,
 asking `tensor.targets` once per pair of integer codes of the two factors'
-counts.  Affinized elements z^d b carry an integer exponent d that the
-R-matrix shifts by +-H.
+counts; on square sizes the factors share one coding and one table.  Its
+cache holds, per size, two flat lists (the image index and H of each pair
+index) with a position index per factor; `iso_oracle` reads them by
+position, and `oracle_table` builds its dict from them on each call.
+Affinized elements z^d b carry an integer exponent d that the R-matrix
+shifts by +-H.
 """
 
 import math
@@ -215,9 +219,10 @@ def yang_baxter_check(l1, l2, l3, n):
 
 # typed, so that a bool argument misses the int entries and meets the checks
 @lru_cache(maxsize=None, typed=True)
-def oracle_table(l1, l2, n):
-    """Image and H for all of B_l1 (x) B_l2, from the crystal graph alone.
+def _oracle(l1, l2, n):
+    """Image and H for all of B_l1 (x) B_l2 by position, from the crystal graph alone.
 
+    Returns (images, energies, elements1, elements2, index1, index2).
     Breadth-first search from the all-vacuum pair along e_i edges: images
     follow the same e_i word applied on the swapped side, and H steps along
     e_0 edges by where e_0 acts: +1 on the left factor of both a pair and its
@@ -226,12 +231,14 @@ def oracle_table(l1, l2, n):
     of every i-string, a proper upper part sums phi_i - epsilon_i to more
     than zero, and each pair sums phi_i - epsilon_i over i to zero.
     A pair of positions (p, q) in the two `crystal.table`s is the index
-    p * |B_l2| + q, its image (u, v) the index u * |B_l1| + v.  Each call
-    gives each table's distinct (epsilon_i, phi_i) counts small integer
-    codes and asks `tensor.targets` once per pair of codes, for two
-    rectangular tables of the factor e_i acts on: for pairs indexed by
-    [code in B_l1][code in B_l2], for images by [code in B_l2][code in
-    B_l1].  The keys come in lexicographic order of positions.
+    p * |B_l2| + q, and images[p * |B_l2| + q] is its image (u, v) as the
+    index u * |B_l1| + v; energies is indexed as images.  index1 and index2
+    map each element of B_l1 and B_l2 to its position.  Each call gives
+    each table's distinct (epsilon_i, phi_i) counts small integer codes and
+    asks `tensor.targets` once per pair of codes, for two rectangular
+    tables of the factor e_i acts on: for pairs indexed by [code in
+    B_l1][code in B_l2], for images by [code in B_l2][code in B_l1].  When
+    l1 == l2 the two factors share one coding and the two tables are one.
     Independent of the pairing algorithm.
     """
     _check_sizes((l1, l2), n)
@@ -240,11 +247,15 @@ def oracle_table(l1, l2, n):
     n1, n2 = len(elements1), len(elements2)
     # a move becomes (code of (epsilon_i, phi_i), position of e_i b), codes
     # numbered 0, 1, ... per table in order of appearance
-    codes1, codes2 = {}, {}
+    codes1 = {}
     moves1 = [[(codes1.setdefault(counts, len(codes1)), e) for counts, e in row] for row in moves1]
-    moves2 = [[(codes2.setdefault(counts, len(codes2)), e) for counts, e in row] for row in moves2]
+    if l1 == l2:
+        codes2, moves2 = codes1, moves1
+    else:
+        codes2 = {}
+        moves2 = [[(codes2.setdefault(counts, len(codes2)), e) for counts, e in row] for row in moves2]
     pair_rule = [[tensor.targets((c1, c2))[0] for c2 in codes2] for c1 in codes1]
-    image_rule = [[tensor.targets((c2, c1))[0] for c1 in codes1] for c2 in codes2]
+    image_rule = pair_rule if l1 == l2 else [[tensor.targets((c2, c1))[0] for c1 in codes1] for c2 in codes2]
     # the all-vacuum elements come last in lexicographic order
     images = [None] * (n1 * n2)
     energies = [0] * (n1 * n2)
@@ -271,10 +282,34 @@ def oracle_table(l1, l2, n):
             queue.append(y)
     if len(queue) != n1 * n2:
         raise RuntimeError(f"affine crystal graph on B_{l1} (x) B_{l2} is not connected for n={n}")
+    index1 = {b: k for k, b in enumerate(elements1)}
+    index2 = index1 if l1 == l2 else {b: k for k, b in enumerate(elements2)}
+    return images, energies, elements1, elements2, index1, index2
+
+
+def oracle_table(l1, l2, n):
+    """Image and H for all of B_l1 (x) B_l2 as a dict, from the crystal graph alone.
+
+    Built on each call from what `_oracle` caches per (l1, l2, n): two flat
+    lists of image indexes and H values, and a position index per factor.
+    The keys come in lexicographic order of positions.  Independent of the
+    pairing algorithm.
+    """
+    images, energies, elements1, elements2, _, _ = _oracle(l1, l2, n)
     image_pairs = list(product(elements2, elements1))
     return dict(zip(product(elements1, elements2), zip(map(image_pairs.__getitem__, images), energies)))
 
 
 def iso_oracle(b, bp, n):
-    """Oracle version of iso_with_energy; only sensible at small sizes."""
-    return oracle_table(len(b), len(bp), n)[(b, bp)]
+    """Oracle version of iso_with_energy, read by position from the cached lists of `_oracle`.
+
+    Only sensible at small sizes; a pair outside B_l1 (x) B_l2 raises
+    KeyError with the pair.
+    """
+    images, energies, elements1, elements2, index1, index2 = _oracle(len(b), len(bp), n)
+    try:
+        x = index1[b] * len(elements2) + index2[bp]
+    except KeyError:
+        raise KeyError((b, bp)) from None
+    u, v = divmod(images[x], len(elements1))
+    return (elements2[u], elements1[v]), energies[x]

@@ -1,6 +1,7 @@
 import ast
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,38 @@ def test_spectrum_matches_ten_elimination(cells, origin):
     p = State(cells, 2, origin)
     e = spectrum(p).e_values
     assert [e[k] - e[k - 1] for k in range(1, len(e))] == ten_elimination(p) + [0]
+
+
+@st.composite
+def gap_separated_states(draw):
+    """Weakly decreasing runs, each followed by at least as many vacuum cells as its length."""
+    n = draw(st.integers(2, 12))
+    runs = draw(st.lists(st.lists(st.integers(1, n - 1), min_size=1, max_size=6), max_size=6))
+    cells = [n] * draw(st.integers(0, 3))
+    for run in runs:
+        cells += sorted(run, reverse=True) + [n] * (len(run) + draw(st.integers(0, 3)))
+    return State(cells, n, draw(st.integers(-50, 50))), [len(run) for run in runs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_separated_states())
+def test_gap_separated_runs_are_the_census(case):
+    """On gap-separated runs the spectrum's census is the run-length census.
+
+    A capacity-l carrier that meets a weakly decreasing run of length L
+    empty takes its first letter for the vacuum, h = 0.  No held letter is
+    below a later letter of the run, so each one joins for the vacuum while
+    the carrier has room, and once it is full the largest held letter
+    leaves, which is not below the letter in: h = 0 across the run.  The
+    carrier then holds min(l, L) letters, and each vacuum cell after the
+    run takes one of them at h = -1, so they drain within min(l, L) <= L
+    cells and the next run meets an empty carrier again.  Each run adds
+    min(l, L) to E_l, the census of E_l = sum of min(l, L) is the run
+    lengths', and the rule is sufficient, not necessary: shorter gaps often
+    keep the census too.
+    """
+    p, lengths = case
+    assert spectrum(p).census() == dict(Counter(lengths))
 
 
 def test_energy_monotone_and_stabilizing():

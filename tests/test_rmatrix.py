@@ -314,6 +314,14 @@ def test_oracle_examples():
     assert iso_oracle((4, 4, 4), (4, 4), 4) == (((4, 4), (4, 4, 4)), 0)
 
 
+@pytest.mark.parametrize("b, bp", [((2, 1), (1,)), ((1, 4), (1,))])
+def test_oracle_refuses_a_pair_outside_the_crystals(b, bp):
+    # an unsorted word, and a letter past n = 3: the error names the whole pair
+    with pytest.raises(KeyError) as raised:
+        iso_oracle(b, bp, 3)
+    assert raised.value.args == ((b, bp),)
+
+
 def test_oracle_matches_pairing():
     # both length orders, so the mirrored rule (left factor shorter) too
     sizes = [(n, l1, l2) for n in (2, 3, 4, 5) for l1, l2 in itertools.product((1, 2, 3, 4), repeat=2)]
@@ -349,12 +357,12 @@ def test_oracle_reads_only_the_crystal_graph(monkeypatch):
 
     monkeypatch.setattr(rmatrix, "_pair", refuse)
     monkeypatch.setattr(rmatrix, "iso_with_energy", refuse)
-    oracle_table.cache_clear()
+    rmatrix._oracle.cache_clear()
     try:
         for size in sizes:
             assert oracle_table(*size) == expected[size]
     finally:
-        oracle_table.cache_clear()
+        rmatrix._oracle.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -369,12 +377,12 @@ def test_oracle_reads_only_the_crystal_graph(monkeypatch):
 )
 def test_oracle_reports_a_broken_graph(monkeypatch, rule, message):
     monkeypatch.setattr(tensor, "targets", rule)
-    oracle_table.cache_clear()
+    rmatrix._oracle.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=re.escape(message)):
             oracle_table(2, 1, 2)
     finally:
-        oracle_table.cache_clear()
+        rmatrix._oracle.cache_clear()
 
 
 def test_oracle_cost_is_linear_in_the_edges():
@@ -385,21 +393,39 @@ def test_oracle_cost_is_linear_in_the_edges():
     times that ratio.
     """
     edges = lambda l1, l2, n: math.comb(l1 + n - 1, n - 1) * math.comb(l2 + n - 1, n - 1) * n
-    small, big = (bytecode_count(oracle_table.__wrapped__, *size) for size in ((2, 2, 5), (4, 4, 5)))
+    small, big = (bytecode_count(rmatrix._oracle.__wrapped__, *size) for size in ((2, 2, 5), (4, 4, 5)))
     assert big <= 1.1 * edges(4, 4, 5) / edges(2, 2, 5) * small, (small, big)
 
 
-@pytest.mark.parametrize("l1, l2, n, bound", [(4, 1, 3, 90), (4, 4, 5, 450)])
+@pytest.mark.parametrize("l1, l2, n, bound", [(4, 1, 3, 90), (4, 4, 5, 225)])
 def test_oracle_asks_the_signature_rule_per_pair_of_counts(monkeypatch, l1, l2, n, bound):
     # at most twice (pairs and images) per pair of distinct (epsilon_i, phi_i)
-    # counts of the two factors, however many pairs the walk visits
+    # counts of the two factors, however many pairs the walk visits, and once
+    # on square sizes, where one table serves pairs and images
     codes = [len({counts for row in crystal.table(l, n)[1] for counts, _ in row}) for l in (l1, l2)]
-    assert 2 * codes[0] * codes[1] == bound
+    assert (1 if l1 == l2 else 2) * codes[0] * codes[1] == bound
     calls = []
     targets = tensor.targets
     monkeypatch.setattr(tensor, "targets", lambda counts: calls.append(counts) or targets(counts))
-    oracle_table.__wrapped__(l1, l2, n)
+    rmatrix._oracle.__wrapped__(l1, l2, n)
     assert 0 < len(calls) <= bound
+
+
+def test_oracle_cache_holds_flat_lists():
+    # the cache keeps an image index and an H per pair, and a position index
+    # per factor: about 51 bytes per pair at (4, 4, 5), where a dict keyed by
+    # nested tuples took 206
+    pairs = math.comb(8, 4) ** 2
+    crystal.table(4, 5)
+    rmatrix._oracle.cache_clear()
+    tracemalloc.start()
+    try:
+        rmatrix._oracle(4, 4, 5)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        rmatrix._oracle.cache_clear()
+    assert retained <= 64 * pairs, retained / pairs
 
 
 def test_local_axioms_at_large_sizes():
